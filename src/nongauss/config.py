@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,3 @@ def use_profile(name_or_profile: str | Tolerances) -> Tolerances:
     else:
         _active = name_or_profile
     return _active
-
-
-def with_overrides(**kwargs) -> Tolerances:
-    """Install a copy of the active profile with selected fields replaced."""
-    return use_profile(replace(_active, **kwargs))

@@ -12,6 +12,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from scipy.special import gammaln
 
 from .channels import kerr, loss, squeeze
 from .distillation import (b_protocol_run, browne_state, log_negativity,
@@ -114,7 +115,7 @@ def fig4_diagonal_mixtures(seed=0, threads=1):
         for lam in grid:
             if family == "poisson":
                 n = np.arange(200)
-                w = np.exp(n * math.log(lam) - lam - _lgamma(n + 1))
+                w = np.exp(n * math.log(lam) - lam - gammaln(n + 1))
             elif family.endswith("_pt"):
                 w = pnes_coefficients(PNESSpec(family[:-3], float(lam), 12), 400) ** 2
             else:
@@ -129,11 +130,6 @@ def fig4_diagonal_mixtures(seed=0, threads=1):
                          delta_a_diagonal(w), delta_b_diagonal(w)])
     meta = {"figure": 4, "random_samples": 200, "H": [10, 100]}
     return meta, ["family", "parameter", "delta_A", "delta_B"], rows
-
-
-def _lgamma(x):
-    from scipy.special import gammaln
-    return gammaln(x)
 
 
 def fig5_cats(seed=0, threads=1):

@@ -20,7 +20,7 @@ import scipy.linalg
 
 from .config import tolerances
 from .errors import ArgumentError, NumericalValidityError, TruncationError
-from .fock import DensityMatrix, FockStateVector, State, destroy, mode_operator
+from .fock import DensityMatrix, FockStateVector, State, _log_base, destroy, mode_operator
 
 __all__ = [
     "GaussianData", "SingleModeGaussianParams", "SymplecticSpectrum",
@@ -204,12 +204,6 @@ def moments(state: State) -> GaussianData:
 # entropy machinery
 # ---------------------------------------------------------------------------
 
-def _log_base(base) -> float:
-    if base in (None, "nat", "e"):
-        return 1.0
-    return float(np.log(base))
-
-
 def h(x: float, base=None) -> float:
     """(x+1/2)log(x+1/2) - (x-1/2)log(x-1/2), the Gaussian entropy kernel."""
     tol = tolerances()
@@ -275,8 +269,9 @@ def fit_single_mode_gaussian(g: GaussianData) -> SingleModeGaussianParams:
         raise NumericalValidityError(f"unphysical CM: det sigma = {det} < 1/4")
     d = math.sqrt(max(det, 0.25))
     n_th = max(d - 0.5, 0.0)
-    cosh2r = max((s11 + s22) / (2 * d), 1.0)
-    r = 0.5 * math.acosh(cosh2r)
+    # sinh 2r from the anisotropy: acosh((s11 + s22) / 2d) would turn O(eps)
+    # noise in sigma into r ~ sqrt(eps)
+    r = 0.5 * math.asinh(math.hypot((s22 - s11) / 2, s12) / d)
     if r < 1e-12:
         r, phi = 0.0, 0.0  # phase is gauge for zero squeezing
     else:

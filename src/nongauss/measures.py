@@ -9,16 +9,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import gammaln
 
 from .channels import ChannelSpec, apply_channel
 from .config import tolerances
 from .errors import ArgumentError, NumericalValidityError
 from .fock import (DensityMatrix, FockStateVector, MeasureReport, State,
-                   as_density, _entropy_of_spectrum, purity)
+                   as_density, _entropy_of_spectrum, _log_base, purity,
+                   random_density_matrix)
 from .gaussian import (GaussianData, fit_single_mode_gaussian, gaussian_entropy,
                        gaussian_fock_block, moments,
                        synthesize_single_mode_gaussian, SingleModeGaussianParams)
+from .states import _coherent_amplitudes
 
 __all__ = [
     "delta_a", "delta_b", "delta_c", "QuadratureGrid",
@@ -26,12 +27,6 @@ __all__ = [
 ]
 
 _CLAMP = 1e-6  # entropy differences of matched states sit at numerical noise level
-
-
-def _log_base(base) -> float:
-    if base in (None, "nat", "e"):
-        return 1.0
-    return float(np.log(base))
 
 
 def delta_a(rho: State) -> MeasureReport:
@@ -68,7 +63,11 @@ def delta_b(rho: State, base=None) -> MeasureReport:
     """
     if rho.modes > 2:
         raise ArgumentError("delta_B is implemented for 1- and 2-mode states")
-    g = moments(rho)
+    return _delta_b_from_moments(rho, moments(rho), base)
+
+
+def _delta_b_from_moments(rho: State, g: GaussianData, base=None) -> MeasureReport:
+    """delta_B of rho whose moments g the caller already holds."""
     s_tau = gaussian_entropy(g)
     if isinstance(rho, FockStateVector):
         s_rho, clamped = 0.0, 0.0
@@ -128,18 +127,6 @@ def _mean_photons(state: State) -> float:
     return total
 
 
-def _coherent_rows(alphas: np.ndarray, dim: int) -> np.ndarray:
-    """Matrix of coherent amplitudes <n|alpha_i> for a batch of grid points."""
-    n = np.arange(dim)
-    mag = np.abs(alphas)
-    with np.errstate(divide="ignore"):
-        logmag = np.where(mag[:, None] > 0,
-                          n[None, :] * np.log(np.where(mag > 0, mag, 1.0))[:, None],
-                          np.where(n[None, :] == 0, 0.0, -np.inf))
-    logmag = logmag - 0.5 * gammaln(n + 1)[None, :] - 0.5 * (mag ** 2)[:, None]
-    return np.exp(logmag + 1j * n[None, :] * np.angle(alphas)[:, None])
-
-
 def _husimi_on_grid(state: State, xs: np.ndarray) -> np.ndarray:
     """Q(alpha) = <alpha|rho|alpha>/pi on the grid xs x xs, row-chunked."""
     d = state.cutoff
@@ -154,8 +141,7 @@ def _husimi_on_grid(state: State, xs: np.ndarray) -> np.ndarray:
     for lo in range(0, xs.size, chunk):
         hi = min(lo + chunk, xs.size)
         alphas = (xs[lo:hi, None] + 1j * xs[None, :]).ravel()
-        rows = _coherent_rows(alphas, d)
-        b = np.abs(rows.conj() @ vec) ** 2
+        b = np.abs(_coherent_amplitudes(alphas, d).T @ vec.conj()) ** 2
         q[lo:hi, :] = (b @ lam).reshape(hi - lo, xs.size) / math.pi
     return q
 
@@ -238,7 +224,6 @@ def conjecture_a5_sweep(samples: int, cutoffs, seed=0, bins: int = 40) -> dict:
         values[0] = delta_a(FockStateVector(1, d, forced)).value
         for i in range(samples):
             rank = int(rng.integers(1, d + 1))
-            from .fock import random_density_matrix
             values[i + 1] = delta_a(random_density_matrix(1, d, rank, rng)).value
         hist, _ = np.histogram(values, bins=edges)
         out[int(d)] = {

@@ -91,6 +91,11 @@ def test_fit_single_mode():
     p = fit_single_mode_gaussian(moments(fock(2, 12)))
     assert abs(p.n_th - 2.0) < 1e-10 and p.r < 1e-7
 
+    # a coherent-state CM with O(eps) anisotropy fits to r = 0, not r ~ 1e-8
+    sigma = np.array([[0.5000000000000018, 0.0], [0.0, 0.4999999999999999]])
+    p = fit_single_mode_gaussian(GaussianData(np.zeros(2), sigma))
+    assert p.r == 0.0 and p.n_th < 1e-12
+
     with pytest.raises(NumericalValidityError):
         fit_single_mode_gaussian(GaussianData(np.zeros(2), 0.2 * np.eye(2)))
 

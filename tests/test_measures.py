@@ -122,6 +122,11 @@ def test_measure_inequality():
 def test_delta_c():
     assert abs(delta_c(coherent(1.0, 40)).value) <= 2e-4
     assert abs(delta_c(thermal(0.7, 60)).value) <= 2e-4
+    # the Husimi function of |alpha> is the Gaussian one: delta_C vanishes up to
+    # the quadrature residual (floored at rounding level)
+    for alpha, d in ((2.0 + 1.0j, 60), (-1.5j, 50), (4.0 + 3.0j, 80)):
+        rep = delta_c(coherent(alpha, d))
+        assert abs(rep.value) <= max(rep.diagnostics["quadrature_residual"], 1e-12)
     assert delta_c(fock(1, 30)).value > 0.05
     with pytest.raises(NumericalValidityError):
         # deliberately tiny grid: normalization residual must trip

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from nongauss import (ArgumentError, TruncationError, delta_b, moments,
                       partial_trace, von_neumann_entropy)
 from nongauss.gaussian import h
-from nongauss.states import (PNESSpec, cat, coherent, delta_a_diagonal,
-                             delta_b_diagonal, diagonal_mixture, fock,
-                             fock_superposition, pnes, pnes_coefficients,
+from nongauss.states import (PNESSpec, _coherent_amplitudes, cat, coherent,
+                             delta_a_diagonal, delta_b_diagonal, diagonal_mixture,
+                             fock, fock_superposition, pnes, pnes_coefficients,
                              pnes_entanglement, pnes_structured_cm,
                              squeezed_vacuum, thermal)
 
@@ -20,6 +21,26 @@ def test_standard_constructors():
     n_mean = np.dot(np.abs(sv.amplitudes) ** 2, np.arange(80))
     assert abs(n_mean - np.sinh(1.0) ** 2) < 1e-5
     assert np.max(np.abs(sv.amplitudes[1::2])) == 0.0  # even levels only
+
+
+@pytest.mark.parametrize("dim", [96, 400, 4096])
+@pytest.mark.parametrize("mag", [0.0, 1.0, 10.0, 30.0, 37.5, 40.0, 60.0])
+def test_coherent_amplitudes_match_log_space(mag, dim):
+    # oracle: e^{-|a|^2/2} a^n / sqrt(n!) evaluated in log space; from |a|^2 ~ 1400
+    # on, e^{-|a|^2/2} underflows and the ladder recursion seeds at a later level.
+    # 7 and 300 phases: the kernel runs narrow and wide batches differently
+    n = np.arange(dim)[:, None]
+    with np.errstate(divide="ignore"):
+        logmag = np.where(mag > 0, n * np.log(mag or 1.0), np.where(n == 0, 0.0, -np.inf))
+    for points in (7, 300):
+        alphas = mag * np.exp(1j * np.linspace(0.0, 2 * np.pi, points))
+        ref = np.exp(logmag - 0.5 * gammaln(n + 1) - 0.5 * mag ** 2
+                     + 1j * n * np.angle(alphas)[None, :])
+        got = _coherent_amplitudes(alphas, dim)
+        assert got.shape == (dim, points)
+        assert np.all(np.isfinite(got))
+        big = np.abs(ref) > 1e-290
+        assert np.all(np.abs(got - ref)[big] <= 1e-10 * np.abs(ref)[big])
 
 
 def test_tail_errors_suggest_cutoff():
