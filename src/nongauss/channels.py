@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 from scipy.special import gammaln
 
 from .config import tolerances
@@ -221,38 +219,53 @@ def squeeze(state: State, r: float, phi: float = 0.0, mode: int = 0) -> State:
                                       mode, f"squeeze({r}, {phi})")
 
 
-@lru_cache(maxsize=8192)
-def _bs_block(total_n: int, theta: float, klo: int, khi: int) -> np.ndarray:
-    """expm of the beam-splitter generator on the (windowed) fixed-total block."""
-    ks = np.arange(klo, khi + 1)
-    w = ks.size
-    gen = np.zeros((w, w))
-    for i in range(w - 1):
-        k = ks[i]
-        gen[i + 1, i] = math.sqrt((k + 1) * (total_n - k))
-    gen = theta * (gen - gen.T)
-    u = scipy.linalg.expm(gen)
-    u.setflags(write=False)
-    return u
+def _bs_blocks(theta: float, nmax: int):
+    """Yield the fixed-total beam-splitter blocks U_N[i, k] = <i, N-i|U|k, N-k>
+    for N = 0 ... nmax, one at a time.
+
+    With c, s = cos(theta), sin(theta), U a0^dag U^dag = c a0^dag - s a1^dag and
+    U a1^dag U^dag = s a0^dag + c a1^dag.  Writing |k, N-k> as a0^dag|k-1, N-k>
+    and as a1^dag|k, N-k-1> gives two recursions from U = U_{N-1}; their
+    average with weights k/N and (N-k)/N,
+
+        N U_N[i, k] = sqrt(k) (c sqrt(i) U[i-1, k-1] - s sqrt(N-i) U[i, k-1])
+                      + sqrt(N-k) (s sqrt(i) U[i-1, k] + c sqrt(N-i) U[i, k]),
+
+    is non-expansive, so rounding grows at most linearly in N (either one-sided
+    recursion alone amplifies it exponentially).
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    u = np.ones((1, 1))
+    yield u
+    for n in range(1, nmax + 1):
+        z = np.zeros((n + 2, n + 2))
+        z[1:-1, 1:-1] = u
+        root_i = np.sqrt(np.arange(n + 1))
+        root_ni = root_i[::-1]       # sqrt(N - i)
+        ri, rni = root_i[:, None], root_ni[:, None]
+        u = (root_i * (c * ri * z[:-1, :-1] - s * rni * z[1:, :-1])
+             + root_ni * (s * ri * z[:-1, 1:] + c * rni * z[1:, 1:])) / n
+        yield u
 
 
 def apply_beam_splitter_tensor(t: np.ndarray, theta: float,
                                axis0: int, axis1: int) -> np.ndarray:
     """Apply the BS unitary to two axes of an amplitude tensor, block by block.
 
-    Blocks of fixed total photon number N <= d0 + d1 - 2 are closed, so
-    applied to axes large enough to hold the output the action is exact.
+    Blocks of fixed total photon number N <= d0 + d1 - 2 are closed; a block
+    the axes cut is applied as the crop of the exact block, so on axes large
+    enough to hold the output the action is exact.
     """
     d0, d1 = t.shape[axis0], t.shape[axis1]
     out = np.zeros_like(t)
     src = np.moveaxis(t, (axis0, axis1), (0, 1))
     dst = np.moveaxis(out, (axis0, axis1), (0, 1))
-    for total in range(d0 + d1 - 1):
+    for total, block in enumerate(_bs_blocks(theta, d0 + d1 - 2)):
         klo = max(0, total - (d1 - 1))
         khi = min(total, d0 - 1)
         ks = np.arange(klo, khi + 1)
-        block = _bs_block(total, theta, klo, khi)
-        dst[ks, total - ks] = np.tensordot(block, src[ks, total - ks], axes=(1, 0))
+        dst[ks, total - ks] = np.tensordot(block[klo:khi + 1, klo:khi + 1],
+                                           src[ks, total - ks], axes=(1, 0))
     return out
 
 

@@ -9,6 +9,7 @@ object is printed to stderr.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -36,11 +37,25 @@ DEFAULT_CUTOFF = 40
 # state and channel mini-language
 # ---------------------------------------------------------------------------
 
+def finite_float(text: str) -> float:
+    """A finite real number; NaN and infinities are argument errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ArgumentError(f"cannot parse number {text!r}") from None
+    if not math.isfinite(value):
+        raise ArgumentError(f"number {text!r} is not finite")
+    return value
+
+
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError:
         raise ArgumentError(f"cannot parse complex number {text!r}") from None
+    if not cmath.isfinite(value):
+        raise ArgumentError(f"complex number {text!r} is not finite")
+    return value
 
 
 def parse_state(spec: str, cutoff: int):
@@ -61,16 +76,16 @@ def parse_state(spec: str, cutoff: int):
         if name == "coherent":
             return coherent(_parse_complex(args[0]), cutoff)
         if name == "thermal":
-            return thermal(float(args[0]), cutoff)
+            return thermal(finite_float(args[0]), cutoff)
         if name == "squeezed":
-            phi = float(args[1]) if len(args) > 1 else 0.0
-            return squeezed_vacuum(float(args[0]), cutoff, phi)
+            phi = finite_float(args[1]) if len(args) > 1 else 0.0
+            return squeezed_vacuum(finite_float(args[0]), cutoff, phi)
         if name == "cat":
-            return cat(_parse_complex(args[0]), float(args[1]), cutoff)
+            return cat(_parse_complex(args[0]), finite_float(args[1]), cutoff)
         if name == "psi":
             return fock_superposition(int(args[0]), int(args[1]), cutoff)
         if name == "poisson":
-            lam = float(args[0])
+            lam = finite_float(args[0])
             n = np.arange(max(4 * cutoff, 256))
             from scipy.special import gammaln
             w = np.exp(n * math.log(lam) - lam - gammaln(n + 1)) if lam > 0 else None
@@ -79,22 +94,30 @@ def parse_state(spec: str, cutoff: int):
             return diagonal_mixture(w / w.sum(), cutoff)
         if name == "pnes":
             family, _, param = rest.partition(":")
-            return pnes(PNESSpec(family, float(param), cutoff))
+            return pnes(PNESSpec(family, finite_float(param), cutoff))
         if name == "browne":
             variant, _, lam = rest.partition(":")
-            return browne_state(variant, float(lam), min(cutoff, 8))
+            return browne_state(variant, finite_float(lam), min(cutoff, 8))
     except (IndexError, ValueError) as exc:
         raise ArgumentError(f"malformed state spec {spec!r}: {exc}") from None
     raise ArgumentError(f"unknown state family {name!r}")
 
 
 def _state_from_json(text: str):
-    obj = json.loads(text)
-    dim = int(obj["cutoff"]) ** int(obj["modes"])
-    if len(obj["re"]) == dim:
-        return FockStateVector.from_json(text)
-    if len(obj["re"]) == dim * dim:
-        return DensityMatrix.from_json(text)
+    try:
+        obj = json.loads(text)
+        dim = int(obj["cutoff"]) ** int(obj["modes"])
+        values = np.asarray([obj["re"], obj["im"]], dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("non-finite amplitude")
+        if values.shape[1] == dim:
+            return FockStateVector.from_json(text)
+        if values.shape[1] == dim * dim:
+            return DensityMatrix.from_json(text)
+    except KeyError as exc:
+        raise ArgumentError(f"state JSON lacks the key {exc}") from None
+    except (ValueError, TypeError, IndexError) as exc:
+        raise ArgumentError(f"malformed state JSON: {exc}") from None
     raise ArgumentError("state JSON length matches neither a vector nor a matrix")
 
 
@@ -105,18 +128,18 @@ def parse_channel(spec: str) -> ChannelSpec:
     args = rest.split(",") if rest else []
     try:
         if name == "loss":
-            return ChannelSpec.loss(float(args[0]))
+            return ChannelSpec.loss(finite_float(args[0]))
         if name in ("phasediff", "phase_diffusion"):
-            return ChannelSpec.phase_diffusion(float(args[0]))
+            return ChannelSpec.phase_diffusion(finite_float(args[0]))
         if name == "kerr":
-            return ChannelSpec.kerr(float(args[0]))
+            return ChannelSpec.kerr(finite_float(args[0]))
         if name == "displace":
             return ChannelSpec.gaussian_unitary("displace", _parse_complex(args[0]))
         if name == "squeeze":
-            phi = float(args[1]) if len(args) > 1 else 0.0
-            return ChannelSpec.gaussian_unitary("squeeze", float(args[0]), phi)
+            phi = finite_float(args[1]) if len(args) > 1 else 0.0
+            return ChannelSpec.gaussian_unitary("squeeze", finite_float(args[0]), phi)
         if name == "beamsplit":
-            theta = float(args[0]) if args else math.pi / 4
+            theta = finite_float(args[0]) if args else math.pi / 4
             ms = (int(args[1]), int(args[2])) if len(args) > 2 else (0, 1)
             return ChannelSpec.gaussian_unitary("beamsplit", theta, ms)
     except (IndexError, ValueError) as exc:
@@ -207,7 +230,7 @@ def cmd_channel(args) -> int:
 def cmd_protocol(args) -> int:
     if args.which == "browne":
         state = browne_state(args.variant, args.lam, args.protocol_cutoff)
-        budget = None if args.leak_budget in (None, "none") else float(args.leak_budget)
+        budget = None if args.leak_budget in (None, "none") else finite_float(args.leak_budget)
         trace = b_protocol_run(state, args.steps, leak_budget=budget)
         _write_text(trace.to_csv(), args.out)
         return 0
@@ -231,8 +254,11 @@ def cmd_bound(args) -> int:
                 line = line.strip()
                 if not line or line.startswith("#") or line.lower().startswith("m,"):
                     continue
-                m, c = line.split(",")
-                rows.append((int(m), float(c)))
+                try:
+                    m, c = line.split(",")
+                    rows.append((int(m), finite_float(c)))
+                except ValueError:
+                    raise ArgumentError(f"malformed histogram row {line!r}") from None
             q = bounds_mod.histogram_to_distribution(rows)
         else:
             state = parse_state(args.state, args.cutoff)
@@ -267,10 +293,13 @@ def _parse_param(text: str):
     name, _, value = text.partition("=")
     if not value:
         raise ArgumentError(f"malformed --param {text!r}; use name=value or name=lo:hi:count")
-    if ":" in value:
-        lo, hi, count = value.split(":")
-        return name, np.linspace(float(lo), float(hi), int(count))
-    return name, [float(value)]
+    try:
+        if ":" in value:
+            lo, hi, count = value.split(":")
+            return name, np.linspace(finite_float(lo), finite_float(hi), int(count))
+        return name, [finite_float(value)]
+    except ValueError:
+        raise ArgumentError(f"malformed --param {text!r}") from None
 
 
 def cmd_sweep(args) -> int:
@@ -360,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("measure", help="compute deltaA, deltaB or deltaC", parents=[common])
     sp.add_argument("which", choices=["deltaA", "deltaB", "deltaC"])
     sp.add_argument("--state", required=True)
-    sp.add_argument("--grid-half-width", type=float, default=None)
-    sp.add_argument("--grid-spacing", type=float, default=0.05)
+    sp.add_argument("--grid-half-width", type=finite_float, default=None)
+    sp.add_argument("--grid-spacing", type=finite_float, default=0.05)
     sp.add_argument("--grid-auto", choices=["default", "covering"], default="default")
     sp.set_defaults(fn=cmd_measure)
 
@@ -374,12 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("protocol", help="run a distillation protocol", parents=[common])
     sp.add_argument("which", choices=["browne", "taka"])
     sp.add_argument("--variant", choices=["a", "b"], default="a")
-    sp.add_argument("--lam", type=float, default=0.5)
+    sp.add_argument("--lam", type=finite_float, default=0.5)
     sp.add_argument("--steps", type=int, default=10)
     sp.add_argument("--protocol-cutoff", type=int, default=8)
     sp.add_argument("--leak-budget", default="none",
                     help="accumulated leakage budget, or 'none'")
-    sp.add_argument("--r", type=float, default=0.8)
+    sp.add_argument("--r", type=finite_float, default=0.8)
     sp.add_argument("--subtracted", choices=["one", "two"], default="one")
     sp.set_defaults(fn=cmd_protocol)
 
@@ -387,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("which", choices=list("ABCDE") + list("abcde"))
     sp.add_argument("--state", default=None)
     sp.add_argument("--hist", default=None, help="CSV of m,count rows (bound A)")
-    sp.add_argument("--eta", type=float, default=1.0)
+    sp.add_argument("--eta", type=finite_float, default=1.0)
     sp.set_defaults(fn=cmd_bound)
 
     sp = sub.add_parser("figure", help="emit a figure dataset as CSV", parents=[common])

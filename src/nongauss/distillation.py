@@ -14,7 +14,7 @@ from .config import tolerances
 from .errors import ArgumentError, NumericalValidityError, TruncationError
 from .fock import DensityMatrix, FockStateVector, State, partial_transpose
 from .gaussian import _apply_destroy
-from .channels import apply_beam_splitter_tensor
+from .channels import _bs_blocks, apply_beam_splitter_tensor
 from .measures import delta_b
 from .states import _squeezed_vacuum_amplitudes
 
@@ -127,32 +127,41 @@ def browne_state(variant: str, lam: float, cutoff: int = 8) -> DensityMatrix:
 # iterated beam-splitter protocol
 # ---------------------------------------------------------------------------
 
+def _vacuum_merge(d: int) -> np.ndarray:
+    """merge[N, k*d + N-k] = <N, 0|B(pi/4)|k, N-k> for inputs below the cutoff d.
+
+    A balanced beam splitter followed by projecting its second output onto
+    vacuum maps |k, N-k> onto |N> with this weight, so one matrix product per
+    side replaces the padded four-mode tensor; row N of each fixed-total block
+    is read from the ladder recursion.
+    """
+    merge = np.zeros((2 * d - 1, d * d))
+    for n, block in enumerate(_bs_blocks(math.pi / 4, 2 * d - 2)):
+        ks = np.arange(max(0, n - d + 1), min(n, d - 1) + 1)
+        merge[n, ks * d + n - ks] = block[n, ks]
+    return merge
+
+
 def b_protocol_step(state) -> tuple[BranchEnsemble, float]:
     """One round: mix two replicas pairwise on balanced beam splitters and keep
     the surviving pair when both ancilla modes project onto vacuum.
 
     Returns (output ensemble, success probability).  The success probability is
-    the pre-normalization trace; the four-mode object only ever exists branch
-    pair by branch pair as an amplitude tensor.
+    the pre-normalization trace; the four-mode object is never formed, each
+    branch pair goes straight to its vacuum-projected two-mode amplitudes.
     """
     ens = BranchEnsemble.from_state(state)
     d = ens.cutoff
-    d_int = 2 * d - 1
-    theta = math.pi / 4
+    merge = _vacuum_merge(d)
 
-    raw = []           # (weight_product, cropped chi, full_norm2, crop_loss)
+    raw = []           # (weight_product, cropped chi)
     success = 0.0
     lost = 0.0
     for wi, vi in ens.branches:
         ti = vi.reshape(d, d)  # axes (nB1, nA1)
         for wj, vj in ens.branches:
             tj = vj.reshape(d, d)  # axes (nB2, nA2)
-            t4 = np.multiply.outer(tj, ti)  # axes (nB2, nA2, nB1, nA1)
-            t4 = np.pad(t4, [(0, d_int - d)] * 4)
-            # beam splitters on (A1, A2) and (B1, B2)
-            t4 = apply_beam_splitter_tensor(t4, theta, 3, 1)
-            t4 = apply_beam_splitter_tensor(t4, theta, 2, 0)
-            chi = t4[0, 0, :, :]               # project ancillas onto vacuum
+            chi = merge @ np.kron(ti, tj) @ merge.T   # axes (nB1, nA1)
             full = float(np.real(np.vdot(chi, chi)))
             chic = chi[:d, :d]
             kept = float(np.real(np.vdot(chic, chic)))

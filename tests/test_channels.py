@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import hyp2f1
 
 from nongauss import (ArgumentError, ChannelSpec, DensityMatrix, FockStateVector,
                       apply_channel, beam_split, delta_a, delta_b, displace, kerr,
                       loss, phase_diffusion, squeeze)
-from nongauss.channels import loss_transition_matrix
+from nongauss.channels import _bs_blocks, loss_transition_matrix
 from nongauss.states import coherent, fock, thermal, vacuum
 
 
@@ -156,6 +157,32 @@ def test_beam_splitter_preserves_density_invariants():
     assert abs(np.trace(out.matrix) - 1.0) < 1e-10
     assert np.linalg.eigvalsh(out.matrix)[0] > -1e-10
     assert out.leakage < 1e-12  # total photon number <= 4 fits exactly
+
+
+def _bs_block_expm(n, theta):
+    """expm of theta (a0^dag a1 - a0 a1^dag) on the total-n block, basis |k, n-k>."""
+    k = np.arange(n)
+    gen = np.zeros((n + 1, n + 1))
+    gen[k + 1, k] = np.sqrt((k + 1) * (n - k))
+    return scipy.linalg.expm(theta * (gen - gen.T))
+
+
+@pytest.mark.parametrize("theta", [np.pi / 4, 0.3, -1.1, 2.0])
+def test_bs_blocks_match_expm(theta):
+    for n, block in enumerate(_bs_blocks(theta, 40)):
+        assert np.max(np.abs(block - _bs_block_expm(n, theta))) <= 1e-12
+
+
+def test_bs_blocks_stay_orthogonal():
+    # rounding must not grow exponentially with N (a one-sided recursion
+    # reaches ||U U^T - I|| ~ 1e145 by N = 600); a random probe checks U U^T = I
+    # at every N, the full residual is formed at every 50th
+    rng = np.random.default_rng(3)
+    for n, block in enumerate(_bs_blocks(np.pi / 4, 1000)):
+        x = rng.standard_normal((n + 1, 2))
+        assert np.max(np.abs(block @ (block.T @ x) - x)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
+        if n % 50 == 0:
+            assert np.max(np.abs(block @ block.T - np.eye(n + 1))) <= 1e-12
 
 
 def test_apply_channel_dispatch():

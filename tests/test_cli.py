@@ -136,3 +136,30 @@ def test_config_file(tmp_path, capsys):
     code, _, _ = run(capsys, "--config", str(cfg), "--cutoff", "10",
                      "measure", "deltaB", "--state", "thermal:1.0")
     assert code == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "deltaB", "--state", "coherent:nan"],
+    ["measure", "deltaB", "--state", "squeezed:inf"],
+    ["measure", "deltaB", "--state", "{dir}/bad.json"],
+    ["measure", "deltaB", "--state", "{dir}/no_cutoff.json"],
+    ["bound", "A", "--hist", "{dir}/counts.csv"],
+    ["channel", "apply", "--channel", "phasediff:nan", "--state", "fock:1"],
+    ["sweep", "--family", "fock", "--param", "n=x"],
+    ["protocol", "browne", "--steps", "1", "--leak-budget", "x"],
+], ids=["coherent-nan", "squeezed-inf", "json-syntax", "json-no-cutoff",
+        "hist-row", "channel-nan", "sweep-param", "leak-budget"])
+def test_malformed_input_exits_2(tmp_path, capsys, argv):
+    (tmp_path / "bad.json").write_text("{bad")
+    (tmp_path / "no_cutoff.json").write_text('{"modes": 1, "re": [1.0], "im": [0.0]}')
+    (tmp_path / "counts.csv").write_text("m,count\n0,70\nx,3\n")
+    code, out, err = run(capsys, *[a.format(dir=tmp_path) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_non_finite_option_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["protocol", "browne", "--lam", "nan"])
+    assert exc.value.code == 2
+    assert "invalid finite_float value: 'nan'" in capsys.readouterr().err

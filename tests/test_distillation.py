@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from nongauss import (ArgumentError, DensityMatrix, FockStateVector,
-                      NumericalValidityError, delta_b)
+                      NumericalValidityError, delta_b, random_density_matrix)
 from nongauss.channels import apply_beam_splitter_tensor, squeeze
-from nongauss.distillation import (BranchEnsemble, b_protocol_run,
+from nongauss.distillation import (BranchEnsemble, _vacuum_merge, b_protocol_run,
                                    b_protocol_step, browne_state, log_negativity,
                                    max_two_mode_ng, renormalized_ng,
                                    t_protocol_output)
@@ -69,6 +69,38 @@ def test_b_protocol_success_probability_dense_reference():
     proj = t[0, 0, :, :, 0, 0, :, :]
     prob_dense = float(np.real(np.einsum("abab->", proj)))
     assert abs(prob - prob_dense) <= 1e-10
+
+
+def _padded_vacuum_projection(ti, tj, d):
+    """The B step's pair amplitudes by two beam splitters on the four-mode
+    tensor padded to 2d - 1 levels, then both ancillas projected onto vacuum."""
+    t4 = np.pad(np.multiply.outer(tj, ti), [(0, d - 1)] * 4)  # (nB2, nA2, nB1, nA1)
+    t4 = apply_beam_splitter_tensor(t4, np.pi / 4, 3, 1)
+    t4 = apply_beam_splitter_tensor(t4, np.pi / 4, 2, 0)
+    return t4[0, 0]                                           # (nB1, nA1)
+
+
+@pytest.mark.parametrize("state", [
+    browne_state("b", 0.7, cutoff=6),
+    random_density_matrix(2, 6, 2, seed=21),
+], ids=["browne-b", "random-rank-2"])
+def test_b_protocol_step_matches_padded_beam_splitters(state):
+    d = 6
+    ens = BranchEnsemble.from_state(state)
+    merge = _vacuum_merge(d)
+    success, expect = 0.0, np.zeros((d * d, d * d), dtype=complex)
+    for wi, vi in ens.branches:
+        for wj, vj in ens.branches:
+            ti, tj = vi.reshape(d, d), vj.reshape(d, d)
+            chi = _padded_vacuum_projection(ti, tj, d)
+            assert np.max(np.abs(merge @ np.kron(ti, tj) @ merge.T - chi)) <= 1e-12
+            success += wi * wj * float(np.real(np.vdot(chi, chi)))
+            kept = chi[:d, :d].ravel()
+            expect += wi * wj * np.outer(kept, kept.conj())
+    out, prob = b_protocol_step(state)
+    assert abs(prob - success) <= 1e-12
+    expect /= np.trace(expect)
+    assert np.max(np.abs(out.to_density().matrix - expect)) <= 1e-12
 
 
 def test_b_protocol_run_records():
