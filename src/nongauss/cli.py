@@ -9,7 +9,6 @@ object is printed to stderr.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -53,7 +52,7 @@ def _parse_complex(text: str) -> complex:
         value = complex(text.replace(" ", ""))
     except ValueError:
         raise ArgumentError(f"cannot parse complex number {text!r}") from None
-    if not cmath.isfinite(value):
+    if not np.isfinite(value):
         raise ArgumentError(f"complex number {text!r} is not finite")
     return value
 
