@@ -16,7 +16,7 @@ from scipy.special import gammaln
 
 from .config import tolerances
 from .errors import ArgumentError, TruncationError
-from .fock import DensityMatrix, FockStateVector, State
+from .fock import DensityMatrix, FockStateVector, State, as_density
 from .gaussian import displacement_matrix, squeeze_matrix
 
 __all__ = [
@@ -154,69 +154,56 @@ def _kerr_density(rho: DensityMatrix, gamma: float) -> DensityMatrix:
 # Gaussian unitaries
 # ---------------------------------------------------------------------------
 
-def _apply_single_mode_unitary_vector(psi: FockStateVector, u_int: np.ndarray,
-                                      mode: int, name: str) -> FockStateVector:
-    d, d_int = psi.cutoff, u_int.shape[0]
-    t = psi.as_tensor()
-    axis = psi.modes - 1 - mode
-    pad = [(0, 0)] * psi.modes
-    pad[axis] = (0, d_int - d)
-    t = np.pad(t, pad)
-    t = np.moveaxis(np.tensordot(u_int, t, axes=(1, axis)), 0, axis)
-    sl = [slice(None)] * psi.modes
-    sl[axis] = slice(0, d)
-    t = t[tuple(sl)]
-    nrm2 = float(np.real(np.vdot(t, t)))
-    leak = max(1.0 - nrm2, 0.0)
-    if leak > tolerances().leak_max:
-        raise TruncationError(
-            f"{name}: leakage {leak:.3e} beyond leak_max; increase the cutoff")
-    return FockStateVector(psi.modes, d, t.ravel() / math.sqrt(nrm2))
+def _apply_local_unitary(state: State, act, modes: tuple[int, ...], name: str) -> State:
+    """Apply a unitary on `modes`, crop it to the cutoff and renormalize.
 
-
-def _apply_single_mode_unitary_density(rho: DensityMatrix, u_int: np.ndarray,
-                                       mode: int, name: str) -> DensityMatrix:
-    d, d_int = rho.cutoff, u_int.shape[0]
-    m = rho.modes
-    t = rho.matrix.reshape((d,) * (2 * m))
-    row_axis = m - 1 - mode
-    col_axis = 2 * m - 1 - mode
-    pad = [(0, 0)] * (2 * m)
-    pad[row_axis] = pad[col_axis] = (0, d_int - d)
-    t = np.pad(t, pad)
-    t = np.moveaxis(np.tensordot(u_int, t, axes=(1, row_axis)), 0, row_axis)
-    t = np.moveaxis(np.tensordot(u_int.conj(), t, axes=(1, col_axis)), 0, col_axis)
-    sl = [slice(None)] * (2 * m)
-    sl[row_axis] = sl[col_axis] = slice(0, d)
-    t = t[tuple(sl)].reshape(d ** m, d ** m)
-    tr = float(np.real(np.trace(t)))
-    leak = max(1.0 - tr, 0.0)
-    if leak > tolerances().leak_max:
-        raise TruncationError(
-            f"{name}: leakage {leak:.3e} beyond leak_max; increase the cutoff")
-    t = t / tr
-    return DensityMatrix(m, d, 0.5 * (t + t.conj().T), leakage=rho.leakage + leak)
-
-
-def _apply_single_mode_unitary(state: State, u_int, mode, name):
+    `act(t, axes, conj)` applies the unitary's cutoff-sized block (its complex
+    conjugate if `conj`) to the given axes of a state tensor.  The mass pushed
+    past the cutoff is the leakage: 1 - ||psi||^2 for a vector, 1 - tr for a
+    density matrix, which also carries it forward in `leakage`.
+    """
+    m, d = state.modes, state.cutoff
+    if len(set(modes)) != len(modes) or not all(0 <= k < m for k in modes):
+        raise ArgumentError(f"{name}: invalid modes {modes} for a {m}-mode state")
+    ket = tuple(m - 1 - k for k in modes)   # mode k sits on axis m-1-k
     if isinstance(state, FockStateVector):
-        return _apply_single_mode_unitary_vector(state, u_int, mode, name)
-    return _apply_single_mode_unitary_density(state, u_int, mode, name)
+        t = act(state.as_tensor(), ket, False)
+        kept = float(np.real(np.vdot(t, t)))
+    else:
+        t = act(state.matrix.reshape((d,) * (2 * m)), ket, False)
+        t = act(t, tuple(ax + m for ax in ket), True).reshape(d ** m, d ** m)
+        kept = float(np.real(np.trace(t)))
+    leak = max(1.0 - kept, 0.0)
+    if leak > tolerances().leak_max:
+        raise TruncationError(
+            f"{name}: leakage {leak:.3e} beyond leak_max; increase the cutoff")
+    if isinstance(state, FockStateVector):
+        return FockStateVector(m, d, t.ravel() / math.sqrt(kept))
+    t = t / kept
+    return DensityMatrix(m, d, 0.5 * (t + t.conj().T), leakage=state.leakage + leak)
+
+
+def _matrix_action(u: np.ndarray):
+    """Action of a single-mode matrix u on one tensor axis."""
+    def act(t, axes, conj):
+        (ax,) = axes
+        return np.moveaxis(np.tensordot(u.conj() if conj else u, t, axes=(1, ax)), 0, ax)
+    return act
 
 
 def displace(state: State, alpha: complex, mode: int = 0) -> State:
     d = state.cutoff
     a = abs(alpha)
     d_int = d + max(20, int(math.ceil(2 * a * a + 6 * a * math.sqrt(d))))
-    return _apply_single_mode_unitary(state, displacement_matrix(alpha, d_int),
-                                      mode, f"displace({alpha})")
+    u = displacement_matrix(alpha, d_int)[:d, :d]
+    return _apply_local_unitary(state, _matrix_action(u), (mode,), f"displace({alpha})")
 
 
 def squeeze(state: State, r: float, phi: float = 0.0, mode: int = 0) -> State:
     d = state.cutoff
     d_int = int(math.ceil(d * math.cosh(2 * r))) + 20
-    return _apply_single_mode_unitary(state, squeeze_matrix(r, phi, d_int),
-                                      mode, f"squeeze({r}, {phi})")
+    u = squeeze_matrix(r, phi, d_int)[:d, :d]
+    return _apply_local_unitary(state, _matrix_action(u), (mode,), f"squeeze({r}, {phi})")
 
 
 def _bs_blocks(theta: float, nmax: int):
@@ -271,49 +258,12 @@ def apply_beam_splitter_tensor(t: np.ndarray, theta: float,
 
 def beam_split(state: State, theta: float = math.pi / 4,
                modes: tuple[int, int] = (0, 1)) -> State:
-    """Beam splitter on a mode pair; internally enlarged so no block is clipped."""
-    m0, m1 = modes
-    d = state.cutoff
-    d_int = 2 * d - 1
-    nmodes = state.modes
-    if m0 == m1 or not (0 <= m0 < nmodes and 0 <= m1 < nmodes):
-        raise ArgumentError(f"invalid beam-splitter modes {modes}")
-
-    if isinstance(state, FockStateVector):
-        t = state.as_tensor()
-        pad = [(0, 0)] * nmodes
-        ax0, ax1 = nmodes - 1 - m0, nmodes - 1 - m1
-        pad[ax0] = pad[ax1] = (0, d_int - d)
-        t = np.pad(t, pad)
-        t = apply_beam_splitter_tensor(t, theta, ax0, ax1)
-        sl = [slice(None)] * nmodes
-        sl[ax0] = sl[ax1] = slice(0, d)
-        t = t[tuple(sl)]
-        nrm2 = float(np.real(np.vdot(t, t)))
-        leak = max(1.0 - nrm2, 0.0)
-        if leak > tolerances().leak_max:
-            raise TruncationError(f"beamsplit: leakage {leak:.3e} beyond leak_max")
-        return FockStateVector(nmodes, d, t.ravel() / math.sqrt(nrm2))
-
-    t = state.matrix.reshape((d,) * (2 * nmodes))
-    rax0, rax1 = nmodes - 1 - m0, nmodes - 1 - m1
-    cax0, cax1 = 2 * nmodes - 1 - m0, 2 * nmodes - 1 - m1
-    pad = [(0, 0)] * (2 * nmodes)
-    for ax in (rax0, rax1, cax0, cax1):
-        pad[ax] = (0, d_int - d)
-    t = np.pad(t, pad)
-    t = apply_beam_splitter_tensor(t, theta, rax0, rax1)
-    t = apply_beam_splitter_tensor(t, theta, cax0, cax1)  # real orthogonal: conj = itself
-    sl = [slice(None)] * (2 * nmodes)
-    for ax in (rax0, rax1, cax0, cax1):
-        sl[ax] = slice(0, d)
-    t = t[tuple(sl)].reshape(d ** nmodes, d ** nmodes)
-    tr = float(np.real(np.trace(t)))
-    leak = max(1.0 - tr, 0.0)
-    if leak > tolerances().leak_max:
-        raise TruncationError(f"beamsplit: leakage {leak:.3e} beyond leak_max")
-    t = t / tr
-    return DensityMatrix(nmodes, d, 0.5 * (t + t.conj().T), leakage=state.leakage + leak)
+    """Beam splitter on a mode pair (m0, m1), cropped to the cutoff; the mass it
+    moves past the cutoff is the leakage."""
+    # real orthogonal, so the bra side (conj) gets the same action
+    return _apply_local_unitary(
+        state, lambda t, axes, conj: apply_beam_splitter_tensor(t, theta, *axes),
+        tuple(modes), f"beamsplit({theta})")
 
 
 def gaussian_unitary(state: State, generator: tuple) -> State:
@@ -338,11 +288,9 @@ def gaussian_unitary(state: State, generator: tuple) -> State:
 
 def apply_channel(state: State, spec: ChannelSpec) -> State:
     if spec.kind == "loss":
-        return loss(state if isinstance(state, DensityMatrix) else state.density(),
-                    spec.params["eta"])
+        return loss(as_density(state), spec.params["eta"])
     if spec.kind == "phase_diffusion":
-        return phase_diffusion(state if isinstance(state, DensityMatrix) else state.density(),
-                               spec.params["delta"])
+        return phase_diffusion(as_density(state), spec.params["delta"])
     if spec.kind == "kerr":
         if isinstance(state, FockStateVector):
             return kerr(state, spec.params["gamma"])

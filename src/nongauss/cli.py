@@ -453,10 +453,10 @@ def _apply_config(args: argparse.Namespace) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    saved = config.tolerances()   # the profile is scoped to this run
     try:
         _apply_config(args)
         config.use_profile(args.tolerance_profile)
-        np.random.seed(args.seed)  # legacy consumers; library code uses Generators
         return args.fn(args)
     except NonGaussError as exc:
         if getattr(args, "json_errors", False):
@@ -466,6 +466,8 @@ def main(argv=None) -> int:
         else:
             sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code
+    finally:
+        config.use_profile(saved)
 
 
 if __name__ == "__main__":

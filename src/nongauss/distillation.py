@@ -273,23 +273,12 @@ def max_two_mode_ng(total_photons: float) -> float:
     return 2.0 * ((1.0 + n2) * math.log(1.0 + n2) - n2 * math.log(n2))
 
 
-def _total_photons(state) -> float:
-    if isinstance(state, BranchEnsemble):
-        state = state.to_density()
-    if isinstance(state, DensityMatrix):
-        return state.energy()
-    probs = np.abs(state.amplitudes) ** 2
-    idx = np.arange(state.dim)
-    d = state.cutoff
-    return float(np.sum(probs * (idx % d))) + float(np.sum(probs * (idx // d)))
-
-
 def renormalized_ng(state) -> float:
     """delta_R = delta_B / max_two_mode_ng(N), in [0, 1]."""
-    n = _total_photons(state)
+    rho = state.to_density() if isinstance(state, BranchEnsemble) else state
+    n = rho.energy()
     if n <= 1e-12:
         raise ArgumentError("renormalized nG is undefined for the vacuum (N = 0)")
-    rho = state.to_density() if isinstance(state, BranchEnsemble) else state
     value = delta_b(rho).value / max_two_mode_ng(n)
     if value > 1.0 + 1e-6:
         raise NumericalValidityError(f"renormalized nG {value} exceeds 1")

@@ -95,7 +95,7 @@ class FockStateVector:
                 f"amplitude length {amps.size} does not match "
                 f"cutoff**modes = {self.cutoff ** self.modes}")
         nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > tolerances().norm:
+        if not abs(nrm - 1.0) <= tolerances().norm:   # NaN fails every check
             raise NumericalValidityError(
                 f"state vector norm {nrm} deviates from 1 beyond tolerance")
 
@@ -106,6 +106,13 @@ class FockStateVector:
     def as_tensor(self) -> np.ndarray:
         """Amplitudes reshaped to (cutoff,)*modes; mode 0 is the last axis."""
         return self.amplitudes.reshape((self.cutoff,) * self.modes)
+
+    def photon_numbers(self) -> np.ndarray:
+        """Mean photon number per mode."""
+        return _photon_numbers(np.abs(self.amplitudes) ** 2, self.modes, self.cutoff)
+
+    def energy(self) -> float:
+        return float(np.sum(self.photon_numbers()))
 
     def density(self) -> "DensityMatrix":
         _check_dense_dim(self.dim)
@@ -150,12 +157,12 @@ class DensityMatrix:
         _check_dense_dim(dim)
         tol = tolerances()
         herm = float(np.max(np.abs(mat - mat.conj().T))) if dim else 0.0
-        if herm > tol.herm:
+        if not herm <= tol.herm:   # NaN fails these checks
             raise NumericalValidityError(f"matrix is not Hermitian (residue {herm:.3e})")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > tol.norm:
+        if not abs(tr - 1.0) <= tol.norm:
             raise NumericalValidityError(f"trace {tr} deviates from 1 beyond tolerance")
-        if self.leakage < 0:
+        if not self.leakage >= 0:
             raise ArgumentError("leakage must be non-negative")
 
     @property
@@ -176,12 +183,7 @@ class DensityMatrix:
 
     def photon_numbers(self) -> np.ndarray:
         """Mean photon number per mode."""
-        diag = np.real(np.diag(self.matrix))
-        idx = np.arange(self.dim)
-        out = np.empty(self.modes)
-        for m in range(self.modes):
-            out[m] = float(np.sum(diag * ((idx // self.cutoff ** m) % self.cutoff)))
-        return out
+        return _photon_numbers(np.real(np.diag(self.matrix)), self.modes, self.cutoff)
 
     def energy(self) -> float:
         return float(np.sum(self.photon_numbers()))
@@ -205,6 +207,13 @@ class DensityMatrix:
 
 
 State = FockStateVector | DensityMatrix
+
+
+def _photon_numbers(populations: np.ndarray, modes: int, cutoff: int) -> np.ndarray:
+    """Mean photon number per mode from the Fock-basis populations."""
+    idx = np.arange(populations.size)
+    return np.array([float(np.sum(populations * ((idx // cutoff ** m) % cutoff)))
+                     for m in range(modes)])
 
 
 def as_density(state: State) -> DensityMatrix:

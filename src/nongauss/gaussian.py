@@ -50,7 +50,7 @@ class GaussianData:
         if X.size % 2 or sigma.shape != (X.size, X.size):
             raise ArgumentError("X must have length 2n and sigma shape (2n, 2n)")
         asym = float(np.max(np.abs(sigma - sigma.T)))
-        if asym > tolerances().herm:
+        if not asym <= tolerances().herm:   # NaN fails the check
             raise NumericalValidityError(f"sigma is not symmetric (residue {asym:.3e})")
 
     @property

@@ -100,8 +100,7 @@ class QuadratureGrid:
 
     @staticmethod
     def for_state(state: State, spacing: float = 0.05) -> "QuadratureGrid":
-        energy = _mean_photons(state)
-        return QuadratureGrid(math.sqrt(2.0 * (energy + 1.0)) + 5.0, spacing)
+        return QuadratureGrid(math.sqrt(2.0 * (state.energy() + 1.0)) + 5.0, spacing)
 
     @staticmethod
     def covering(state: State, n_sigmas: float = 5.5,
@@ -114,17 +113,6 @@ class QuadratureGrid:
         spread = math.sqrt(float(np.linalg.eigvalsh(k)[-1]) / 2.0)
         center = float(np.linalg.norm(g.X)) / math.sqrt(2.0)
         return QuadratureGrid(n_sigmas * spread + center + 1.0, spacing)
-
-
-def _mean_photons(state: State) -> float:
-    if isinstance(state, DensityMatrix):
-        return state.energy()
-    probs = np.abs(state.amplitudes) ** 2
-    idx = np.arange(state.dim)
-    total = 0.0
-    for m in range(state.modes):
-        total += float(np.sum(probs * ((idx // state.cutoff ** m) % state.cutoff)))
-    return total
 
 
 def _husimi_on_grid(state: State, xs: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.special import hyp2f1
 
 from nongauss import (ArgumentError, ChannelSpec, DensityMatrix, FockStateVector,
-                      apply_channel, beam_split, delta_a, delta_b, displace, kerr,
-                      loss, phase_diffusion, squeeze)
+                      TruncationError, apply_channel, beam_split, delta_a, delta_b,
+                      displace, kerr, loss, phase_diffusion, squeeze)
 from nongauss.channels import _bs_blocks, loss_transition_matrix
 from nongauss.states import coherent, fock, thermal, vacuum
 
@@ -183,6 +185,79 @@ def test_bs_blocks_stay_orthogonal():
         assert np.max(np.abs(block @ (block.T @ x) - x)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
         if n % 50 == 0:
             assert np.max(np.abs(block @ block.T - np.eye(n + 1))) <= 1e-12
+
+
+# every Gaussian unitary on every mode (pair) of seeded 1-, 2- and 3-mode states
+# supported below the cutoff: (modes, cutoff, support per mode)
+_LOCAL_SHAPES = [(1, 12, 4), (2, 8, 3), (3, 6, 2)]
+_LOCAL_OPS = {
+    "displace": (1, lambda st, ms: displace(st, 0.12 - 0.08j, ms[0])),
+    "squeeze": (1, lambda st, ms: squeeze(st, 0.06, 0.4, ms[0])),
+    "beam_split": (2, lambda st, ms: beam_split(st, 0.7, ms)),
+}
+
+
+def _low_state(modes, d, low, seed):
+    rng = np.random.default_rng(seed)
+    t = np.zeros((d,) * modes, dtype=complex)
+    t[(slice(0, low),) * modes] = (rng.standard_normal((low,) * modes)
+                                   + 1j * rng.standard_normal((low,) * modes))
+    return FockStateVector(modes, d, (t / np.linalg.norm(t)).ravel())
+
+
+def _local_cases():
+    for modes, d, low in _LOCAL_SHAPES:
+        psi = _low_state(modes, d, low, seed=modes)
+        for name, (arity, op) in _LOCAL_OPS.items():
+            for ms in itertools.permutations(range(modes), arity):
+                yield name, op, psi, ms
+
+
+def _relabel(state, order):
+    """The state whose mode j is mode order[j] of `state` (mode k on axis m-1-k)."""
+    m, d = state.modes, state.cutoff
+    axes = [m - 1 - order[m - 1 - a] for a in range(m)]
+    if isinstance(state, FockStateVector):
+        return FockStateVector(m, d, state.as_tensor().transpose(axes).ravel())
+    t = state.matrix.reshape((d,) * (2 * m)).transpose(axes + [a + m for a in axes])
+    return DensityMatrix(m, d, t.reshape(d ** m, d ** m), leakage=state.leakage)
+
+
+def test_local_unitary_vector_matches_density():
+    # the density path agrees with the pure path, and its leakage is the mass
+    # the same operation moves past the cutoff, read off at a larger cutoff
+    for name, op, psi, ms in _local_cases():
+        m, d = psi.modes, psi.cutoff
+        out = op(psi.density(), ms)
+        assert np.max(np.abs(out.matrix - op(psi, ms).density().matrix)) <= 1e-12, (name, ms)
+        big = np.pad(psi.as_tensor(), [(0, 6)] * m)
+        wide = op(FockStateVector(m, d + 6, big.ravel()), ms).as_tensor()
+        kept = np.sum(np.abs(wide[(slice(0, d),) * m]) ** 2)
+        assert abs(out.leakage - (1.0 - kept)) <= 1e-12, (name, ms)
+
+
+def test_local_unitary_commutes_with_mode_relabelling():
+    for name, op, psi, ms in _local_cases():
+        order = list(ms) + [k for k in range(psi.modes) if k not in ms]
+        back = [order.index(k) for k in range(psi.modes)]
+        for st in (psi, psi.density()):
+            direct = op(st, ms)
+            moved = _relabel(op(_relabel(st, order), tuple(range(len(ms)))), back)
+            if isinstance(st, FockStateVector):
+                assert np.max(np.abs(direct.amplitudes - moved.amplitudes)) <= 1e-12
+            else:
+                assert np.max(np.abs(direct.matrix - moved.matrix)) <= 1e-12
+                assert abs(direct.leakage - moved.leakage) <= 1e-12
+
+
+def test_local_unitary_leakage_raises():
+    top = fock(5, 6)
+    corner = FockStateVector(2, 6, np.kron(top.amplitudes, top.amplitudes))
+    for st, op in ((top, lambda s: displace(s, 1.0)), (top, lambda s: squeeze(s, 0.5)),
+                   (corner, lambda s: beam_split(s, 0.7))):
+        for state in (st, st.density()):
+            with pytest.raises(TruncationError, match="beyond leak_max"):
+                op(state)
 
 
 def test_apply_channel_dispatch():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from nongauss import config
 from nongauss.cli import main, parse_channel, parse_state
 from nongauss.errors import ArgumentError
 from nongauss.fock import DensityMatrix, FockStateVector
@@ -163,3 +164,14 @@ def test_non_finite_option_is_a_usage_error(capsys):
         main(["protocol", "browne", "--lam", "nan"])
     assert exc.value.code == 2
     assert "invalid finite_float value: 'nan'" in capsys.readouterr().err
+
+
+def test_main_leaves_global_state_alone(capsys):
+    before, rng = config.tolerances(), np.random.get_state()
+    for argv, expected in ((["measure", "deltaB", "--state", "fock:1"], 0),
+                           (["measure", "deltaB", "--state", "nope:1"], 2)):
+        code, _, _ = run(capsys, "--tolerance-profile", "loose", *argv)
+        assert code == expected
+        assert config.tolerances() is before
+    after = np.random.get_state()
+    assert after[0] == rng[0] and np.array_equal(after[1], rng[1]) and after[2:] == rng[2:]

@@ -32,6 +32,28 @@ def test_density_invariants():
         DensityMatrix(1, 2, np.diag([0.7, 0.4]).astype(complex))  # trace 1.1
 
 
+def test_vector_rejects_nan():
+    with pytest.raises(NumericalValidityError):
+        FockStateVector(1, 2, [np.nan, 0])
+
+
+def test_density_rejects_nan():
+    with pytest.raises(NumericalValidityError):
+        DensityMatrix(1, 2, np.full((2, 2), np.nan, dtype=complex))
+    with pytest.raises(ArgumentError):
+        DensityMatrix(1, 2, np.eye(2) / 2, leakage=np.nan)
+
+
+def test_photon_numbers_agree_between_carriers():
+    rng = np.random.default_rng(5)
+    amps = rng.standard_normal(27) + 1j * rng.standard_normal(27)
+    psi = FockStateVector(3, 3, amps / np.linalg.norm(amps))
+    counts = psi.photon_numbers()
+    assert np.allclose(counts, psi.density().photon_numbers(), rtol=0, atol=1e-14)
+    assert abs(psi.energy() - float(np.sum(counts))) <= 1e-14
+    assert np.array_equal(fock(2, 4).photon_numbers(), [2.0])
+
+
 def test_tensor_product():
     v2 = vacuum(4).density()
     two = tensor(v2, v2)

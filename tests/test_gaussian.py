@@ -31,6 +31,11 @@ def test_moments_leak_gate():
         moments(rho)
 
 
+def test_gaussian_data_rejects_nan():
+    with pytest.raises(NumericalValidityError):
+        GaussianData(np.zeros(2), np.full((2, 2), np.nan))
+
+
 def test_h_function():
     assert h(0.5) == 0.0
     assert abs(h(1.5) - 2 * np.log(2)) < 1e-14
