@@ -7,6 +7,8 @@ Classes of validity:
   epsilon_C  thermal-reference states, inefficient detection
   epsilon_D  generic single-mode states with known covariance matrix
   epsilon_E  generic single-mode states, inefficient detection
+
+Every bound is an entropy difference in nats.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def histogram_to_distribution(rows) -> np.ndarray:
 # the five bounds
 # ---------------------------------------------------------------------------
 
-def epsilon_a(q, base=None) -> float:
+def epsilon_a(q) -> float:
     """S(nu_M) - H(q) with M the mean of the measured click distribution.
 
     Valid lower bound for Fock-diagonal states under inefficient detection; at
@@ -96,7 +98,7 @@ def epsilon_a(q, base=None) -> float:
     if np.any(q < 0) or abs(q.sum() - 1.0) > 1e-8:
         raise ArgumentError("q must be a probability distribution")
     m_mean = float(np.dot(np.arange(q.size), q))
-    return h(m_mean + 0.5, base) - shannon_entropy(q, base)
+    return h(m_mean + 0.5) - shannon_entropy(q)
 
 
 def _check_thermal_reference(rho: DensityMatrix) -> None:
@@ -109,7 +111,7 @@ def _check_thermal_reference(rho: DensityMatrix) -> None:
             f"|<a^2>| = {t2:.2e} (both must vanish)")
 
 
-def epsilon_b(rho: State, base=None) -> float:
+def epsilon_b(rho: State) -> float:
     """S(nu_N) - H(p_nn) for states whose reference Gaussian is thermal."""
     rho = as_density(rho)
     if rho.modes != 1:
@@ -117,31 +119,31 @@ def epsilon_b(rho: State, base=None) -> float:
     _check_thermal_reference(rho)
     p_diag = np.clip(np.real(np.diag(rho.matrix)), 0.0, None)
     n_mean = float(np.dot(np.arange(rho.cutoff), p_diag))
-    return h(n_mean + 0.5, base) - shannon_entropy(p_diag, base)
+    return h(n_mean + 0.5) - shannon_entropy(p_diag)
 
 
-def epsilon_c(rho: State, eta: float, base=None) -> float:
+def epsilon_c(rho: State, eta: float) -> float:
     """Like epsilon_B but through an inefficient detector: S(nu_M) - H(q)."""
     rho = as_density(rho)
     if rho.modes != 1:
         raise ArgumentError("epsilon_C is single-mode")
     _check_thermal_reference(rho)
     q = detection_statistics(rho, PhotodetectionPOVM(eta, rho.cutoff))
-    return epsilon_a(q, base)
+    return epsilon_a(q)
 
 
-def epsilon_d(rho: State, base=None) -> float:
+def epsilon_d(rho: State) -> float:
     """S(tau) - H(p_nn): needs the covariance matrix but only ideal counting."""
     rho = as_density(rho)
     if rho.modes != 1:
         raise ArgumentError("epsilon_D is single-mode")
     g = moments(rho)
-    s_tau = h(math.sqrt(float(np.linalg.det(g.sigma))), base)
+    s_tau = h(math.sqrt(float(np.linalg.det(g.sigma))))
     p_diag = np.clip(np.real(np.diag(rho.matrix)), 0.0, None)
-    return s_tau - shannon_entropy(p_diag, base)
+    return s_tau - shannon_entropy(p_diag)
 
 
-def epsilon_e(rho: State, eta: float, base=None) -> float:
+def epsilon_e(rho: State, eta: float) -> float:
     """S(tau_eta) - H(q): generic states, inefficient detection.
 
     The loss-transformed reference entropy comes from the analytic CM map
@@ -152,6 +154,6 @@ def epsilon_e(rho: State, eta: float, base=None) -> float:
         raise ArgumentError("epsilon_E is single-mode")
     g = moments(rho)
     sigma_eta = eta * g.sigma + (1.0 - eta) * 0.5 * np.eye(2)
-    s_tau_eta = h(math.sqrt(float(np.linalg.det(sigma_eta))), base)
+    s_tau_eta = h(math.sqrt(float(np.linalg.det(sigma_eta))))
     q = detection_statistics(rho, PhotodetectionPOVM(eta, rho.cutoff))
-    return s_tau_eta - shannon_entropy(q, base)
+    return s_tau_eta - shannon_entropy(q)

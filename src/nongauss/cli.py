@@ -22,7 +22,8 @@ from .channels import ChannelSpec, apply_channel
 from .distillation import (b_protocol_run, browne_state, log_negativity,
                            t_protocol_output)
 from .errors import ArgumentError, NonGaussError
-from .fock import DensityMatrix, FockStateVector, as_density, purity, von_neumann_entropy
+from .fock import (DensityMatrix, FockStateVector, MeasureReport, as_density, purity,
+                   von_neumann_entropy)
 from .figures import build_figure
 from .gaussian import moments
 from .measures import QuadratureGrid, delta_a, delta_b, delta_c
@@ -163,6 +164,11 @@ def _format_cell(v) -> str:
     return str(v)
 
 
+def _in_log_base(nats: float, args) -> float:
+    """An entropy the library computed in nats, in the base --log-base selects."""
+    return nats / math.log(2) if args.log_base == "2" else nats
+
+
 def _csv_text(meta: dict, header: list, rows: list) -> str:
     lines = ["# " + json.dumps(meta, sort_keys=True)]
     lines.append(",".join(header))
@@ -200,18 +206,19 @@ def cmd_state(args) -> int:
 
 def cmd_measure(args) -> int:
     state = parse_state(args.state, args.cutoff)
-    base = 2 if args.log_base == "2" else None
     if args.which == "deltaA":
         rep = delta_a(state)
     elif args.which == "deltaB":
-        rep = delta_b(state, base=base)
+        rep = delta_b(state)
     else:
         grid = None
         if args.grid_half_width:
             grid = QuadratureGrid(args.grid_half_width, args.grid_spacing)
         elif args.grid_auto == "covering":
             grid = QuadratureGrid.covering(state, spacing=args.grid_spacing)
-        rep = delta_c(state, grid=grid, base=base)
+        rep = delta_c(state, grid=grid)
+    if args.which != "deltaA":   # delta_A is unitless
+        rep = MeasureReport(_in_log_base(rep.value, args), rep.diagnostics)
     print(f"{rep.value:.6f}")
     if args.out:
         Path(args.out).write_text(rep.to_json())
@@ -234,17 +241,15 @@ def cmd_protocol(args) -> int:
         _write_text(trace.to_csv(), args.out)
         return 0
     psi = t_protocol_output(args.r, args.subtracted)
-    base = 2 if args.log_base == "2" else None
     meta = {"protocol": "taka", "r": args.r, "subtracted": args.subtracted,
             "cutoff": psi.cutoff}
-    rows = [[args.r, args.subtracted, delta_b(psi, base=base).value,
+    rows = [[args.r, args.subtracted, _in_log_base(delta_b(psi).value, args),
              log_negativity(psi)]]
     _write_text(_csv_text(meta, ["r", "subtracted", "delta_B", "E_N"], rows), args.out)
     return 0
 
 
 def cmd_bound(args) -> int:
-    base = 2 if args.log_base == "2" else None
     which = args.which.upper()
     if which == "A":
         if args.hist:
@@ -263,19 +268,20 @@ def cmd_bound(args) -> int:
             state = parse_state(args.state, args.cutoff)
             povm = bounds_mod.PhotodetectionPOVM(args.eta, state.cutoff)
             q = bounds_mod.detection_statistics(state, povm)
-        value = bounds_mod.epsilon_a(q, base=base)
+        value = bounds_mod.epsilon_a(q)
     else:
         state = parse_state(args.state, args.cutoff)
         if which == "B":
-            value = bounds_mod.epsilon_b(state, base=base)
+            value = bounds_mod.epsilon_b(state)
         elif which == "C":
-            value = bounds_mod.epsilon_c(state, args.eta, base=base)
+            value = bounds_mod.epsilon_c(state, args.eta)
         elif which == "D":
-            value = bounds_mod.epsilon_d(state, base=base)
+            value = bounds_mod.epsilon_d(state)
         elif which == "E":
-            value = bounds_mod.epsilon_e(state, args.eta, base=base)
+            value = bounds_mod.epsilon_e(state, args.eta)
         else:
             raise ArgumentError(f"unknown bound {args.which!r}; choose A..E")
+    value = _in_log_base(value, args)
     print(f"{value:.6f}")
     if args.out:
         Path(args.out).write_text(json.dumps({"bound": which, "value": value}))
@@ -303,21 +309,18 @@ def _parse_param(text: str):
 
 def cmd_sweep(args) -> int:
     """Generic grid runner: a state family, swept parameters, one measure."""
+    # the spec takes the values in the order the --param flags are given
     params = dict(_parse_param(p) for p in args.param)
-    names = sorted(params)
-    grids = [params[n] for n in names]
+    names = list(params)
     mesh = [[]]
-    for grid in grids:
-        mesh = [m + [float(v)] for m in mesh for v in grid]
-
-    base = 2 if args.log_base == "2" else None
+    for name in names:
+        mesh = [m + [float(v)] for m in mesh for v in params[name]]
 
     def spec_for(values):
-        assign = dict(zip(names, values))
         if args.family in ("fock", "psi"):
-            parts = [str(int(assign[k])) for k in names]
+            parts = [str(int(v)) for v in values]
         else:
-            parts = [f"{assign[k]!r}".strip("'") for k in names]
+            parts = [f"{v!r}".strip("'") for v in values]
         return args.family + ":" + ",".join(parts)
 
     def run(values):
@@ -325,8 +328,8 @@ def cmd_sweep(args) -> int:
         if args.measure == "deltaA":
             return delta_a(state).value
         if args.measure == "deltaB":
-            return delta_b(state, base=base).value
-        return delta_c(state, base=base).value
+            return _in_log_base(delta_b(state).value, args)
+        return _in_log_base(delta_c(state).value, args)
 
     from .figures import _parallel_map
     results = _parallel_map(run, mesh, args.threads)
@@ -360,7 +363,10 @@ def _common_options() -> argparse.ArgumentParser:
     c.add_argument("--tolerance-profile", choices=sorted(config.PROFILES),
                    help="numerical tolerance profile")
     c.add_argument("--log-base", choices=["nat", "2"],
-                   help="entropy log base (default: natural)")
+                   help="log base (default: natural) of the entropies reported by "
+                        "measure deltaB/deltaC, bound, sweep deltaB/deltaC and "
+                        "protocol taka's delta_B; protocol browne and figure "
+                        "report nats, and E_N is always log2")
     c.add_argument("--seed", type=int, help="random seed")
     c.add_argument("--out", help="output path (default: stdout)")
     c.add_argument("--threads", type=int, help="worker pool size")

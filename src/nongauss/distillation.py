@@ -300,8 +300,7 @@ def _suggest_subtraction_cutoff(r: float) -> int:
     return int(idx[0]) + 4
 
 
-def t_protocol_output(r: float, subtracted: str = "one",
-                      cutoff: int | None = None) -> FockStateVector:
+def t_protocol_output(r: float, subtracted: str = "one") -> FockStateVector:
     """Output of the photon-subtraction distillation:
     N a_A^{n_A} a_B^{n_B} B(pi/4) S_A(r) |00>.
 
@@ -316,9 +315,7 @@ def t_protocol_output(r: float, subtracted: str = "one",
         n_sub = (1, 1)
     else:
         raise ArgumentError("subtracted must be 'one' or 'two'")
-    if cutoff is None:
-        cutoff = _suggest_subtraction_cutoff(r)
-    d = cutoff
+    d = _suggest_subtraction_cutoff(r)
     sv = _squeezed_vacuum_amplitudes(r, 0.0, d)
     t = np.zeros((d, d), dtype=complex)   # axes (nB, nA)
     t[0, :] = sv

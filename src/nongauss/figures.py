@@ -94,8 +94,8 @@ def fig3_fock_superpositions(seed=0, threads=1):
     return meta, ["n", "k", "delta_A", "delta_B"], rows
 
 
-def _gamma_weights(k: int, lam: float, size: int = 400) -> np.ndarray:
-    n = np.arange(size, dtype=float)
+def _gamma_weights(k: int, lam: float) -> np.ndarray:
+    n = np.arange(400, dtype=float)
     w = n ** k * np.exp(-n / lam)
     return w / w.sum()
 

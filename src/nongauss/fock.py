@@ -5,6 +5,8 @@ per-mode cutoff d are labelled little-endian mixed-radix, i.e. the flat index
 is  i = n_0 + d*n_1 + d^2*n_2 + ...  with the photon number of mode 0 varying
 fastest.  Equivalently, reshaping a flat vector to shape (d,)*modes (C order)
 puts mode (modes-1) on axis 0 and mode 0 on the last axis.
+
+Entropies are in nats.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import ArgumentError, NumericalValidityError, ResourceError
 
 __all__ = [
     "FockStateVector", "DensityMatrix", "MeasureReport",
-    "destroy", "create", "number_op", "mode_operator",
+    "destroy", "mode_operator",
     "tensor", "partial_trace", "partial_transpose",
     "purity", "overlap", "von_neumann_entropy", "shannon_entropy",
     "random_density_matrix",
@@ -39,17 +41,6 @@ def destroy(dim: int) -> np.ndarray:
     a[ns - 1, ns] = np.sqrt(ns)
     a.setflags(write=False)
     return a
-
-
-def create(dim: int) -> np.ndarray:
-    return destroy(dim).conj().T
-
-
-@lru_cache(maxsize=None)
-def number_op(dim: int) -> np.ndarray:
-    n = np.diag(np.arange(dim, dtype=float)).astype(complex)
-    n.setflags(write=False)
-    return n
 
 
 def mode_operator(op: np.ndarray, mode: int, modes: int, cutoff: int) -> np.ndarray:
@@ -172,15 +163,6 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues()[0])
-
-    def check_positive(self) -> "DensityMatrix":
-        lo = self.min_eigenvalue()
-        if lo < -tolerances().eig:
-            raise NumericalValidityError(f"state has eigenvalue {lo:.3e} below -tol_eig")
-        return self
-
     def photon_numbers(self) -> np.ndarray:
         """Mean photon number per mode."""
         return _photon_numbers(np.real(np.diag(self.matrix)), self.modes, self.cutoff)
@@ -240,12 +222,19 @@ class MeasureReport:
 # operations
 # ---------------------------------------------------------------------------
 
-def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Tensor product; `a` keeps the low (fast) modes, `b` takes the high ones."""
+def tensor(a: State, b: State) -> State:
+    """Tensor product; `a` keeps the low (fast) modes, `b` takes the high ones.
+
+    Two vectors give a vector; any other pair gives a density matrix.
+    """
     if a.cutoff != b.cutoff:
         raise ArgumentError(f"cutoffs differ: {a.cutoff} vs {b.cutoff}")
-    _check_dense_dim(a.dim * b.dim)
     # little-endian: a on the fast index -> kron(b, a)
+    if isinstance(a, FockStateVector) and isinstance(b, FockStateVector):
+        return FockStateVector(a.modes + b.modes, a.cutoff,
+                               np.kron(b.amplitudes, a.amplitudes))
+    a, b = as_density(a), as_density(b)
+    _check_dense_dim(a.dim * b.dim)
     return DensityMatrix(a.modes + b.modes, a.cutoff,
                          np.kron(b.matrix, a.matrix),
                          leakage=a.leakage + b.leakage)
@@ -315,20 +304,14 @@ def overlap(a: DensityMatrix, b: DensityMatrix) -> float:
     return float(val.real)
 
 
-def _log_base(base) -> float:
-    if base in (None, "nat", "e"):
-        return 1.0
-    return float(np.log(base))
-
-
-def shannon_entropy(p, base=None) -> float:
+def shannon_entropy(p) -> float:
     """-sum p log p with 0*log(0) := 0."""
     p = np.asarray(p, dtype=float)
     if np.any(p < -tolerances().eig):
         raise NumericalValidityError("probabilities must be non-negative")
     p = np.clip(p, 0.0, None)
     nz = p[p > 0]
-    return float(-np.sum(nz * np.log(nz))) / _log_base(base)
+    return float(-np.sum(nz * np.log(nz)))
 
 
 def _entropy_of_spectrum(eigs: np.ndarray) -> tuple[float, float]:
@@ -343,12 +326,12 @@ def _entropy_of_spectrum(eigs: np.ndarray) -> tuple[float, float]:
     return float(-np.sum(lam * np.log(lam))), clamped
 
 
-def von_neumann_entropy(rho: State, base=None) -> float:
+def von_neumann_entropy(rho: State) -> float:
     """S(rho) = -Tr[rho log rho]; exact 0 for pure state vectors."""
     if isinstance(rho, FockStateVector):
         return 0.0
     value, _ = _entropy_of_spectrum(rho.eigenvalues())
-    return value / _log_base(base)
+    return value
 
 
 def random_density_matrix(modes: int, cutoff: int, rank: int, seed=None) -> DensityMatrix:

@@ -20,7 +20,7 @@ import scipy.linalg
 
 from .config import tolerances
 from .errors import ArgumentError, NumericalValidityError, TruncationError
-from .fock import DensityMatrix, FockStateVector, State, _log_base, destroy, mode_operator
+from .fock import DensityMatrix, FockStateVector, State, destroy, mode_operator
 
 __all__ = [
     "GaussianData", "SingleModeGaussianParams", "SymplecticSpectrum",
@@ -49,6 +49,8 @@ class GaussianData:
         object.__setattr__(self, "sigma", sigma)
         if X.size % 2 or sigma.shape != (X.size, X.size):
             raise ArgumentError("X must have length 2n and sigma shape (2n, 2n)")
+        if not np.all(np.isfinite(X)):
+            raise NumericalValidityError(f"first moments are not finite: {X}")
         asym = float(np.max(np.abs(sigma - sigma.T)))
         if not asym <= tolerances().herm:   # NaN fails the check
             raise NumericalValidityError(f"sigma is not symmetric (residue {asym:.3e})")
@@ -204,7 +206,7 @@ def moments(state: State) -> GaussianData:
 # entropy machinery
 # ---------------------------------------------------------------------------
 
-def h(x: float, base=None) -> float:
+def h(x: float) -> float:
     """(x+1/2)log(x+1/2) - (x-1/2)log(x-1/2), the Gaussian entropy kernel."""
     tol = tolerances()
     if x < 0.5 - tol.symp:
@@ -212,7 +214,7 @@ def h(x: float, base=None) -> float:
     if x <= 0.5:
         return 0.0
     u, v = x + 0.5, x - 0.5
-    return (u * math.log(u) - v * math.log(v)) / _log_base(base)
+    return u * math.log(u) - v * math.log(v)
 
 
 def symplectic_eigenvalues(g: GaussianData) -> SymplecticSpectrum:
@@ -246,12 +248,12 @@ def symplectic_eigenvalues(g: GaussianData) -> SymplecticSpectrum:
     return SymplecticSpectrum(math.sqrt(lo), math.sqrt(hi))
 
 
-def gaussian_entropy(g: GaussianData, base=None) -> float:
+def gaussian_entropy(g: GaussianData) -> float:
     """Entropy of the Gaussian state with the given moments."""
     spec = symplectic_eigenvalues(g)
     if g.modes == 1:
-        return h(spec.d_minus, base)
-    return h(spec.d_minus, base) + h(spec.d_plus, base)
+        return h(spec.d_minus)
+    return h(spec.d_minus) + h(spec.d_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +320,8 @@ def thermal_weights(n_th: float, dim: int) -> np.ndarray:
     return np.exp(k * math.log(n_th / (1.0 + n_th)) - math.log(1.0 + n_th))
 
 
-def gaussian_fock_block(params: SingleModeGaussianParams, cutoff: int,
-                        internal_cutoff: int | None = None) -> tuple[np.ndarray, float]:
+def gaussian_fock_block(params: SingleModeGaussianParams,
+                        cutoff: int) -> tuple[np.ndarray, float]:
     """Top-left cutoff x cutoff block of D S nu S^dag D^dag, not renormalized.
 
     Built at an enlarged internal cutoff so truncated-generator boundary
@@ -327,12 +329,11 @@ def gaussian_fock_block(params: SingleModeGaussianParams, cutoff: int,
     the block alone is what overlaps against states supported below the cutoff
     need, however much of the Gaussian's own mass lies above it.
     """
-    if internal_cutoff is None:
-        internal_cutoff = cutoff + max(20, int(math.ceil(4 * params.energy())))
-    nu = np.diag(thermal_weights(params.n_th, internal_cutoff)).astype(complex)
-    u = displacement_matrix(params.alpha, internal_cutoff)
+    d_int = cutoff + max(20, int(math.ceil(4 * params.energy())))
+    nu = np.diag(thermal_weights(params.n_th, d_int)).astype(complex)
+    u = displacement_matrix(params.alpha, d_int)
     if params.r > 0:
-        u = u @ squeeze_matrix(params.r, params.phi, internal_cutoff)
+        u = u @ squeeze_matrix(params.r, params.phi, d_int)
     tau = u @ nu @ u.conj().T
     tau = tau[:cutoff, :cutoff]
     tau = 0.5 * (tau + tau.conj().T)
@@ -340,10 +341,10 @@ def gaussian_fock_block(params: SingleModeGaussianParams, cutoff: int,
     return tau, deficit
 
 
-def synthesize_single_mode_gaussian(params: SingleModeGaussianParams, cutoff: int,
-                                    internal_cutoff: int | None = None) -> DensityMatrix:
+def synthesize_single_mode_gaussian(params: SingleModeGaussianParams,
+                                    cutoff: int) -> DensityMatrix:
     """Normalized Fock-basis Gaussian state D S nu S^dag D^dag cropped to the cutoff."""
-    block, deficit = gaussian_fock_block(params, cutoff, internal_cutoff)
+    block, deficit = gaussian_fock_block(params, cutoff)
     return DensityMatrix(1, cutoff, block / (1.0 - deficit), leakage=deficit)
 
 

@@ -1,6 +1,7 @@
 """Entropic quantities tied to non-Gaussianity: Holevo information, mutual
 information and conditional entropy with their Gaussian-extremality gaps, and
-the quantum Fisher information with its non-Gaussianity upper bound."""
+the quantum Fisher information with its non-Gaussianity upper bound.
+Entropies are in nats."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from .config import tolerances
 from .errors import ArgumentError, NumericalValidityError
-from .fock import (DensityMatrix, FockStateVector, State, _log_base, as_density,
+from .fock import (DensityMatrix, FockStateVector, State, as_density,
                    partial_trace, von_neumann_entropy)
 from .gaussian import GaussianData, h, moments, symplectic_eigenvalues
 from .measures import _delta_b_from_moments, delta_b
@@ -57,7 +58,7 @@ class Ensemble:
         return DensityMatrix(s0.modes, s0.cutoff, mat / np.real(np.trace(mat)))
 
 
-def holevo_chi(ensemble: Ensemble, base=None) -> float:
+def holevo_chi(ensemble: Ensemble) -> float:
     """chi = S(rho_bar) - sum_i p_i S(rho_i).
 
     For pure members at fixed covariance matrix this equals the reference
@@ -76,25 +77,24 @@ def holevo_chi(ensemble: Ensemble, base=None) -> float:
             if abs(alt - chi) > 1e-8 * max(1.0, abs(chi)):
                 raise NumericalValidityError(
                     f"pure-ensemble identity violated: chi {chi} vs S(tau)-delta {alt}")
-    return max(chi, 0.0) / _log_base(base)
+    return max(chi, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # two-mode entropic gaps
 # ---------------------------------------------------------------------------
 
-def gaussian_mutual_information(g: GaussianData, base=None) -> float:
+def gaussian_mutual_information(g: GaussianData) -> float:
     """I_G = S(tau_A) + S(tau_B) - S(tau_AB) from the covariance matrix alone."""
     if g.modes != 2:
         raise ArgumentError("gaussian mutual information needs a two-mode CM")
     spec = symplectic_eigenvalues(g)
-    val = (h(math.sqrt(float(np.linalg.det(g.sigma[:2, :2]))))
-           + h(math.sqrt(float(np.linalg.det(g.sigma[2:, 2:]))))
-           - h(spec.d_minus) - h(spec.d_plus))
-    return val / _log_base(base)
+    return (h(math.sqrt(float(np.linalg.det(g.sigma[:2, :2]))))
+            + h(math.sqrt(float(np.linalg.det(g.sigma[2:, 2:]))))
+            - h(spec.d_minus) - h(spec.d_plus))
 
 
-def mutual_information(rho: State, base=None) -> float:
+def mutual_information(rho: State) -> float:
     """I(A:B) = S(A) + S(B) - S(AB); checked against I_G + Delta_2 internally."""
     rho = as_density(rho)
     if rho.modes != 2:
@@ -112,29 +112,27 @@ def mutual_information(rho: State, base=None) -> float:
             f"Delta_2 identity violated: I - I_G = {i_ab - i_g} vs gap {gap}")
     if i_ab < i_g - _IDENTITY_TOL:
         raise NumericalValidityError("Gaussian extremality of I(A:B) violated")
-    return i_ab / _log_base(base)
+    return i_ab
 
 
-def mutual_information_gap(rho: State, base=None) -> float:
+def mutual_information_gap(rho: State) -> float:
     """Delta_2 = delta_B[AB] - delta_B[A] - delta_B[B] = I - I_G (>= 0)."""
     rho = as_density(rho)
     rho_a = partial_trace(rho, {0})
     rho_b = partial_trace(rho, {1})
-    gap = delta_b(rho).value - delta_b(rho_a).value - delta_b(rho_b).value
-    return gap / _log_base(base)
+    return delta_b(rho).value - delta_b(rho_a).value - delta_b(rho_b).value
 
 
-def gaussian_conditional_entropy(g: GaussianData, base=None) -> float:
+def gaussian_conditional_entropy(g: GaussianData) -> float:
     """S_G(A|B) = S(tau_AB) - S(tau_B)."""
     if g.modes != 2:
         raise ArgumentError("gaussian conditional entropy needs a two-mode CM")
     spec = symplectic_eigenvalues(g)
-    val = (h(spec.d_minus) + h(spec.d_plus)
-           - h(math.sqrt(float(np.linalg.det(g.sigma[2:, 2:])))))
-    return val / _log_base(base)
+    return (h(spec.d_minus) + h(spec.d_plus)
+            - h(math.sqrt(float(np.linalg.det(g.sigma[2:, 2:])))))
 
 
-def conditional_entropy(rho: State, base=None) -> float:
+def conditional_entropy(rho: State) -> float:
     """S(A|B) = S(AB) - S(B); Gaussian states maximize it at fixed moments."""
     rho = as_density(rho)
     if rho.modes != 2:
@@ -149,15 +147,14 @@ def conditional_entropy(rho: State, base=None) -> float:
             f"Delta_1 identity violated: S_G - S = {s_g - s_ab} vs gap {gap}")
     if s_ab > s_g + _IDENTITY_TOL:
         raise NumericalValidityError("Gaussian extremality of S(A|B) violated")
-    return s_ab / _log_base(base)
+    return s_ab
 
 
-def conditional_entropy_gap(rho: State, base=None) -> float:
+def conditional_entropy_gap(rho: State) -> float:
     """Delta_1 = delta_B[AB] - delta_B[B] = S_G(A|B) - S(A|B) (>= 0)."""
     rho = as_density(rho)
     rho_b = partial_trace(rho, {1})
-    gap = delta_b(rho).value - delta_b(rho_b).value
-    return gap / _log_base(base)
+    return delta_b(rho).value - delta_b(rho_b).value
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The non-Gaussianity measures: Hilbert-Schmidt (delta_A), relative-entropy
 (delta_B), Wehrl (delta_C), their mutual inequality, the bounded-search measure
-for maps, and the single-mode upper-bound sweep."""
+for maps, and the single-mode upper-bound sweep.  Entropies are in nats."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from .channels import ChannelSpec, apply_channel
 from .config import tolerances
 from .errors import ArgumentError, NumericalValidityError
 from .fock import (DensityMatrix, FockStateVector, MeasureReport, State,
-                   as_density, _entropy_of_spectrum, _log_base, purity,
+                   as_density, _entropy_of_spectrum, purity,
                    random_density_matrix)
 from .gaussian import (GaussianData, fit_single_mode_gaussian, gaussian_entropy,
                        gaussian_fock_block, moments,
@@ -55,7 +55,7 @@ def delta_a(rho: State) -> MeasureReport:
                                  "clamped_eigenvalue_mass": 0.0})
 
 
-def delta_b(rho: State, base=None) -> MeasureReport:
+def delta_b(rho: State) -> MeasureReport:
     """QRE non-Gaussianity via the entropy-difference identity S(tau) - S(rho).
 
     Never goes through log(tau): with matched moments the identity is exact and
@@ -63,10 +63,10 @@ def delta_b(rho: State, base=None) -> MeasureReport:
     """
     if rho.modes > 2:
         raise ArgumentError("delta_B is implemented for 1- and 2-mode states")
-    return _delta_b_from_moments(rho, moments(rho), base)
+    return _delta_b_from_moments(rho, moments(rho))
 
 
-def _delta_b_from_moments(rho: State, g: GaussianData, base=None) -> MeasureReport:
+def _delta_b_from_moments(rho: State, g: GaussianData) -> MeasureReport:
     """delta_B of rho whose moments g the caller already holds."""
     s_tau = gaussian_entropy(g)
     if isinstance(rho, FockStateVector):
@@ -77,9 +77,8 @@ def _delta_b_from_moments(rho: State, g: GaussianData, base=None) -> MeasureRepo
     if -_CLAMP < value < 0.0:
         value = 0.0
     leak = rho.leakage if isinstance(rho, DensityMatrix) else 0.0
-    return MeasureReport(value / _log_base(base),
-                         {"leakage": leak, "cutoff_used": rho.cutoff,
-                          "clamped_eigenvalue_mass": clamped})
+    return MeasureReport(value, {"leakage": leak, "cutoff_used": rho.cutoff,
+                                 "clamped_eigenvalue_mass": clamped})
 
 
 # ---------------------------------------------------------------------------
@@ -99,20 +98,20 @@ class QuadratureGrid:
         return xs
 
     @staticmethod
-    def for_state(state: State, spacing: float = 0.05) -> "QuadratureGrid":
-        return QuadratureGrid(math.sqrt(2.0 * (state.energy() + 1.0)) + 5.0, spacing)
+    def for_state(state: State) -> "QuadratureGrid":
+        return QuadratureGrid(math.sqrt(2.0 * (state.energy() + 1.0)) + 5.0)
 
     @staticmethod
-    def covering(state: State, n_sigmas: float = 5.5,
-                 spacing: float = 0.05) -> "QuadratureGrid":
-        """Half-width from the largest Husimi covariance eigenvalue; use this
+    def covering(state: State, spacing: float = 0.05) -> "QuadratureGrid":
+        """Half-width of 5.5 Husimi standard deviations along the widest axis,
+        plus the displacement and a margin of 1; use this
         for strongly squeezed states, whose Q function outgrows the default
         energy-based square."""
         g = moments(state)
         k = g.sigma + 0.5 * np.eye(2)
         spread = math.sqrt(float(np.linalg.eigvalsh(k)[-1]) / 2.0)
         center = float(np.linalg.norm(g.X)) / math.sqrt(2.0)
-        return QuadratureGrid(n_sigmas * spread + center + 1.0, spacing)
+        return QuadratureGrid(5.5 * spread + center + 1.0, spacing)
 
 
 def _husimi_on_grid(state: State, xs: np.ndarray) -> np.ndarray:
@@ -155,8 +154,7 @@ def _gaussian_husimi(g: GaussianData, xs: np.ndarray) -> np.ndarray:
     return norm * np.exp(-0.5 * quad)
 
 
-def delta_c(rho: State, grid: QuadratureGrid | None = None,
-            base=None) -> MeasureReport:
+def delta_c(rho: State, grid: QuadratureGrid | None = None) -> MeasureReport:
     """Wehrl-entropy non-Gaussianity H_W(tau) - H_W(rho) by grid quadrature.
 
     The reference term uses the closed-form Gaussian Husimi function on the
@@ -176,7 +174,7 @@ def delta_c(rho: State, grid: QuadratureGrid | None = None,
     if resid > 1e-4:
         raise NumericalValidityError(
             f"Husimi quadrature residual {resid:.2e} > 1e-4: enlarge the grid")
-    value = (hw_tau - hw_rho) / _log_base(base)
+    value = hw_tau - hw_rho
     leak = rho.leakage if isinstance(rho, DensityMatrix) else 0.0
     return MeasureReport(value, {"leakage": leak, "cutoff_used": rho.cutoff,
                                  "quadrature_residual": resid,
@@ -194,7 +192,7 @@ def check_measure_inequality(rho: State) -> tuple[bool, float]:
     return margin >= -1e-6, margin
 
 
-def conjecture_a5_sweep(samples: int, cutoffs, seed=0, bins: int = 40) -> dict:
+def conjecture_a5_sweep(samples: int, cutoffs, seed=0) -> dict:
     """Random-state sweep of delta_A per cutoff; the single-mode bound is 1/2.
 
     Ranks are drawn uniformly so the sample spans the purity range; |1> is
@@ -204,7 +202,7 @@ def conjecture_a5_sweep(samples: int, cutoffs, seed=0, bins: int = 40) -> dict:
         raise ArgumentError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     out = {}
-    edges = np.linspace(0.0, 0.55, bins + 1)
+    edges = np.linspace(0.0, 0.55, 41)
     for d in cutoffs:
         values = np.empty(samples + 1)
         forced = np.zeros(d, dtype=complex)
@@ -225,7 +223,7 @@ def conjecture_a5_sweep(samples: int, cutoffs, seed=0, bins: int = 40) -> dict:
 
 
 def ng_of_map(channel: ChannelSpec, energy_cap: float = 4.0, cutoff: int = 30,
-              budget: int = 500, base=None) -> MeasureReport:
+              budget: int = 500) -> MeasureReport:
     """Lower bound on the map non-Gaussianity max over Gaussian probes of
     delta_B[E(rho_G)], by coarse grid search plus simplex refinement.
 
@@ -282,7 +280,7 @@ def ng_of_map(channel: ChannelSpec, energy_cap: float = 4.0, cutoff: int = 30,
             best_val, best_x = -res.fun, tuple(res.x)
 
     n_th, r, phi, amag, aarg = best_x
-    return MeasureReport(max(best_val, 0.0) / _log_base(base), {
+    return MeasureReport(max(best_val, 0.0), {
         "evaluations": float(evals),
         "cutoff_used": cutoff,
         "probe_n_th": max(n_th, 0.0),

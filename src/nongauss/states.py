@@ -177,7 +177,7 @@ def diagonal_mixture(weights, cutoff: int) -> DensityMatrix:
     return DensityMatrix(1, cutoff, np.diag(w / w.sum()).astype(complex))
 
 
-def delta_a_diagonal(weights, base=None) -> float:
+def delta_a_diagonal(weights) -> float:
     """Closed-form HS non-Gaussianity of a Fock-diagonal state."""
     q = np.asarray(weights, dtype=float).ravel()
     nbar = float(np.dot(np.arange(q.size), q))
@@ -187,11 +187,11 @@ def delta_a_diagonal(weights, base=None) -> float:
     return 0.5 * (1.0 - cross / float(np.dot(q, q)))
 
 
-def delta_b_diagonal(weights, base=None) -> float:
+def delta_b_diagonal(weights) -> float:
     """Closed-form QRE non-Gaussianity of a Fock-diagonal state."""
     q = np.asarray(weights, dtype=float).ravel()
     nbar = float(np.dot(np.arange(q.size), q))
-    return h(nbar + 0.5, base) - shannon_entropy(q, base)
+    return h(nbar + 0.5) - shannon_entropy(q)
 
 
 def cat(alpha: complex, phi: float, cutoff: int) -> FockStateVector:
@@ -279,7 +279,7 @@ def pnes_structured_cm(spec: PNESSpec) -> tuple[float, float, GaussianData]:
     return N, C, GaussianData(np.zeros(4), sigma)
 
 
-def pnes_entanglement(spec: PNESSpec, base=None) -> float:
+def pnes_entanglement(spec: PNESSpec) -> float:
     """Entanglement entropy -sum psi_n^2 log psi_n^2 of the PNES."""
     psi = pnes_coefficients(spec)
-    return shannon_entropy(psi ** 2, base)
+    return shannon_entropy(psi ** 2)

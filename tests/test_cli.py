@@ -127,6 +127,60 @@ def test_sweep_command(capsys):
     assert len(vals) == 3 and vals[0] < vals[1] < vals[2]
 
 
+def test_sweep_keeps_param_order(tmp_path, capsys):
+    code, out, _ = run(capsys, "sweep", "--family", "psi", "--param", "n=2",
+                       "--param", "k=4")
+    assert code == 0
+    header, row = out.strip().splitlines()[1:]
+    assert header == "n,k,deltaB"
+    path = tmp_path / "m.json"
+    code, _, _ = run(capsys, "measure", "deltaB", "--state", "psi:2,4",
+                     "--out", str(path))
+    assert code == 0
+    assert row.split(",")[2] == f"{json.loads(path.read_text())['value']:.12g}"
+
+
+def _json_value(out, path):
+    obj = json.loads(path.read_text())
+    assert out.strip() == f"{obj['value']:.6f}"
+    return [obj["value"]], obj.get("diagnostics")
+
+
+def _csv_column(col):
+    def read(out, path):
+        rows = [line.split(",") for line in out.strip().splitlines()[2:]]
+        return [float(r[col]) for r in rows], [r[:col] + r[col + 1:] for r in rows]
+    return read
+
+
+_JSON_RTOL = 1e-12
+_CSV_RTOL = 1e-11   # CSV cells carry 12 significant digits
+
+
+@pytest.mark.parametrize("argv, read, rtol", [
+    (["measure", "deltaB", "--state", "psi:1,3"], _json_value, _JSON_RTOL),
+    (["measure", "deltaC", "--state", "cat:1.0,0.785"], _json_value, _JSON_RTOL),
+    *[(["bound", b, "--state", "psi:1,3", "--eta", "0.8"], _json_value, _JSON_RTOL)
+      for b in "ABCDE"],
+    (["protocol", "taka", "--r", "0.5"], _csv_column(2), _CSV_RTOL),
+    (["sweep", "--family", "fock", "--param", "n=1:3:3"], _csv_column(1), _CSV_RTOL),
+], ids=["deltaB", "deltaC", "A", "B", "C", "D", "E", "taka", "sweep"])
+def test_log_base_converts_every_entropy(tmp_path, capsys, argv, read, rtol):
+    """--log-base 2 reports nats / ln 2; everything else is unchanged."""
+    results = []
+    for base in ("nat", "2"):
+        path = tmp_path / f"{base}.json"
+        out_opt = ["--out", str(path)] if argv[0] in ("measure", "bound") else []
+        code, out, _ = run(capsys, *argv, *out_opt, "--log-base", base)
+        assert code == 0
+        results.append(read(out, path))
+    (nats, rest_nat), (bits, rest_bits) = results
+    assert rest_nat == rest_bits
+    assert len(nats) == len(bits) and all(v > 0 for v in nats)
+    for n, b in zip(nats, bits):
+        assert abs(b - n / np.log(2)) <= rtol * b
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "ng.cfg"
     cfg.write_text("# comment\ncutoff=60\nlog_base=nat\n")

