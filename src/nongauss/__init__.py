@@ -8,7 +8,7 @@ from .errors import (ArgumentError, NonGaussError, NumericalValidityError,
 from .fock import (DensityMatrix, FockStateVector, MeasureReport, overlap,
                    partial_trace, partial_transpose, purity,
                    random_density_matrix, tensor, von_neumann_entropy)
-from .gaussian import (GaussianData, SingleModeGaussianParams, SymplecticSpectrum,
+from .gaussian import (GaussianData, SingleModeGaussianParams,
                        fit_single_mode_gaussian, gaussian_entropy, h, moments,
                        reference_gaussian_state, symplectic_eigenvalues)
 from .states import (PNESSpec, cat, coherent, diagonal_mixture, fock,

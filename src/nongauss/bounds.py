@@ -13,7 +13,6 @@ Every bound is an entropy difference in nats.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,8 @@ import numpy as np
 from .channels import loss_transition_matrix
 from .config import tolerances
 from .errors import ArgumentError, NumericalValidityError
-from .fock import DensityMatrix, FockStateVector, State, as_density, destroy, shannon_entropy
-from .gaussian import h, moments
+from .fock import DensityMatrix, State, as_density, destroy, shannon_entropy
+from .gaussian import GaussianData, gaussian_entropy, h, moments
 
 __all__ = [
     "PhotodetectionPOVM", "detection_statistics", "histogram_to_distribution",
@@ -137,8 +136,7 @@ def epsilon_d(rho: State) -> float:
     rho = as_density(rho)
     if rho.modes != 1:
         raise ArgumentError("epsilon_D is single-mode")
-    g = moments(rho)
-    s_tau = h(math.sqrt(float(np.linalg.det(g.sigma))))
+    s_tau = gaussian_entropy(moments(rho))
     p_diag = np.clip(np.real(np.diag(rho.matrix)), 0.0, None)
     return s_tau - shannon_entropy(p_diag)
 
@@ -154,6 +152,6 @@ def epsilon_e(rho: State, eta: float) -> float:
         raise ArgumentError("epsilon_E is single-mode")
     g = moments(rho)
     sigma_eta = eta * g.sigma + (1.0 - eta) * 0.5 * np.eye(2)
-    s_tau_eta = h(math.sqrt(float(np.linalg.det(sigma_eta))))
+    s_tau_eta = gaussian_entropy(GaussianData(g.X, sigma_eta))
     q = detection_statistics(rho, PhotodetectionPOVM(eta, rho.cutoff))
     return s_tau_eta - shannon_entropy(q)

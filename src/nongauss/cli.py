@@ -9,12 +9,14 @@ object is printed to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import bounds as bounds_mod
 from . import config
@@ -24,7 +26,7 @@ from .distillation import (b_protocol_run, browne_state, log_negativity,
 from .errors import ArgumentError, NonGaussError
 from .fock import (DensityMatrix, FockStateVector, MeasureReport, as_density, purity,
                    von_neumann_entropy)
-from .figures import build_figure
+from .figures import _parallel_map, build_figure
 from .gaussian import moments
 from .measures import QuadratureGrid, delta_a, delta_b, delta_c
 from .states import (PNESSpec, cat, coherent, diagonal_mixture, fock,
@@ -87,7 +89,6 @@ def parse_state(spec: str, cutoff: int):
         if name == "poisson":
             lam = finite_float(args[0])
             n = np.arange(max(4 * cutoff, 256))
-            from scipy.special import gammaln
             w = np.exp(n * math.log(lam) - lam - gammaln(n + 1)) if lam > 0 else None
             if w is None:
                 return vacuum(cutoff).density()
@@ -211,12 +212,13 @@ def cmd_measure(args) -> int:
     elif args.which == "deltaB":
         rep = delta_b(state)
     else:
-        grid = None
         if args.grid_half_width:
-            grid = QuadratureGrid(args.grid_half_width, args.grid_spacing)
+            grid = QuadratureGrid(args.grid_half_width)
         elif args.grid_auto == "covering":
-            grid = QuadratureGrid.covering(state, spacing=args.grid_spacing)
-        rep = delta_c(state, grid=grid)
+            grid = QuadratureGrid.covering(state)
+        else:
+            grid = QuadratureGrid.for_state(state)
+        rep = delta_c(state, grid=dataclasses.replace(grid, spacing=args.grid_spacing))
     if args.which != "deltaA":   # delta_A is unitless
         rep = MeasureReport(_in_log_base(rep.value, args), rep.diagnostics)
     print(f"{rep.value:.6f}")
@@ -311,6 +313,8 @@ def cmd_sweep(args) -> int:
     """Generic grid runner: a state family, swept parameters, one measure."""
     # the spec takes the values in the order the --param flags are given
     params = dict(_parse_param(p) for p in args.param)
+    if len(params) < len(args.param):
+        raise ArgumentError("each --param name may be given only once")
     names = list(params)
     mesh = [[]]
     for name in names:
@@ -331,7 +335,6 @@ def cmd_sweep(args) -> int:
             return _in_log_base(delta_b(state).value, args)
         return _in_log_base(delta_c(state).value, args)
 
-    from .figures import _parallel_map
     results = _parallel_map(run, mesh, args.threads)
     rows = [values + [val] for values, val in zip(mesh, results)]
     meta = {"family": args.family, "measure": args.measure, "seed": args.seed,
@@ -344,15 +347,19 @@ def cmd_sweep(args) -> int:
 # parser plumbing
 # ---------------------------------------------------------------------------
 
-def _read_config_file(path: str) -> dict:
-    out = {}
-    for line in Path(path).read_text().splitlines():
+def _config_args(path: str) -> list[str]:
+    """The key=value lines of a config file as leading --key=value arguments."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise ArgumentError(f"cannot read config file {path}: {exc.strerror}") from None
+    args = []
+    for line in lines:
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
+        if line and not line.startswith("#"):
+            key, _, value = line.partition("=")
+            args.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return args
 
 
 def _common_options() -> argparse.ArgumentParser:
@@ -439,29 +446,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _GLOBAL_DEFAULTS = {"cutoff": DEFAULT_CUTOFF, "log_base": "nat", "seed": 0,
-                    "threads": 1, "tolerance_profile": "default", "out": None}
-
-
-def _apply_config(args: argparse.Namespace) -> None:
-    file_cfg = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, hard_default in _GLOBAL_DEFAULTS.items():
-        if getattr(args, key, None) is None:
-            if key in file_cfg:
-                raw = file_cfg[key]
-                cast = type(hard_default) if hard_default is not None else str
-                setattr(args, key, cast(raw) if hard_default is not None else raw)
-            else:
-                setattr(args, key, hard_default)
-    if not hasattr(args, "json_errors"):
-        args.json_errors = False
+                    "threads": 1, "tolerance_profile": "default", "out": None,
+                    "json_errors": False}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     saved = config.tolerances()   # the profile is scoped to this run
     try:
-        _apply_config(args)
+        if getattr(args, "config", None):
+            # the file's settings go first, so flags on the command line win
+            args = parser.parse_args(_config_args(args.config) + argv)
+        for key, default in _GLOBAL_DEFAULTS.items():
+            if not hasattr(args, key):
+                setattr(args, key, default)
         config.use_profile(args.tolerance_profile)
         return args.fn(args)
     except NonGaussError as exc:

@@ -6,14 +6,14 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import tolerances
 from .errors import ArgumentError, NumericalValidityError, TruncationError
 from .fock import DensityMatrix, FockStateVector, State, partial_transpose
-from .gaussian import _apply_destroy
+from .gaussian import _ladder
 from .channels import _bs_blocks, apply_beam_splitter_tensor
 from .measures import delta_b
 from .states import _squeezed_vacuum_amplitudes
@@ -323,14 +323,14 @@ def t_protocol_output(r: float, subtracted: str = "one") -> FockStateVector:
 
     # form 1: beam splitter first, then local subtraction
     mixed = apply_beam_splitter_tensor(t, math.pi / 4, a_axis, b_axis)
-    out1 = _apply_destroy(mixed, a_axis) if n_sub[0] else mixed
+    out1 = _ladder(mixed, a_axis, lower=True) if n_sub[0] else mixed
     if n_sub[1]:
-        out1 = _apply_destroy(out1, b_axis)
+        out1 = _ladder(out1, b_axis, lower=True)
 
     # form 2: subtract a_A^(n_A + n_B) before the beam splitter
     pre = t
     for _ in range(sum(n_sub)):
-        pre = _apply_destroy(pre, a_axis)
+        pre = _ladder(pre, a_axis, lower=True)
     out2 = apply_beam_splitter_tensor(pre, math.pi / 4, a_axis, b_axis)
 
     n1, n2 = np.linalg.norm(out1), np.linalg.norm(out2)

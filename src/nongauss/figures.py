@@ -17,12 +17,11 @@ from scipy.special import gammaln
 from .channels import kerr, loss, squeeze
 from .distillation import (b_protocol_run, browne_state, log_negativity,
                            renormalized_ng, t_protocol_output)
-from .fock import DensityMatrix, FockStateVector
+from .errors import ArgumentError
 from .gaussian import h
 from .measures import QuadratureGrid, delta_a, delta_b, delta_c
 from .states import (PNESSpec, cat, coherent, delta_a_diagonal, delta_b_diagonal,
-                     diagonal_mixture, fock, fock_superposition, pnes,
-                     pnes_coefficients)
+                     fock, fock_superposition, pnes, pnes_coefficients)
 
 __all__ = ["FIGURES", "build_figure"]
 
@@ -279,7 +278,6 @@ def build_figure(number: int, seed: int = 0, threads: int = 1):
     try:
         builder = FIGURES[int(number)]
     except (KeyError, ValueError):
-        from .errors import ArgumentError
         raise ArgumentError(f"unknown figure {number}; choose 1-11") from None
     meta, header, rows = builder(seed=seed, threads=threads)
     meta.setdefault("seed", seed)

@@ -251,23 +251,13 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     if len(keep) == m:
         return rho
     t = rho.matrix.reshape((d,) * (2 * m))
-    # axis for mode k: rows m-1-k, cols 2m-1-k
-    letters = "abcdefghijklmnopqrstuvwx"
-    row = [None] * m
-    col = [None] * m
-    pos = 0
-    for k in range(m):
-        if k in keep:
-            row[k] = letters[pos]
-            col[k] = letters[pos + 1]
-            pos += 2
-        else:
-            row[k] = col[k] = letters[pos]
-            pos += 1
-    sub_in = "".join(row[m - 1 - i] for i in range(m)) + "".join(col[m - 1 - i] for i in range(m))
-    kept_desc = list(reversed(keep))
-    sub_out = "".join(row[k] for k in kept_desc) + "".join(col[k] for k in kept_desc)
-    reduced = np.einsum(f"{sub_in}->{sub_out}", t)
+    # axes run from mode m-1 down to mode 0, rows then columns; a traced mode
+    # carries one label on both its axes, a kept mode k gets m + k on its column
+    col = [m + k if k in keep else k for k in range(m)]
+    modes_desc = range(m - 1, -1, -1)
+    kept_desc = keep[::-1]
+    reduced = np.einsum(t, [*modes_desc, *(col[k] for k in modes_desc)],
+                        [*kept_desc, *(col[k] for k in kept_desc)])
     dk = d ** len(keep)
     return DensityMatrix(len(keep), d, reduced.reshape(dk, dk), leakage=rho.leakage)
 

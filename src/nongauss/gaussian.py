@@ -23,7 +23,7 @@ from .errors import ArgumentError, NumericalValidityError, TruncationError
 from .fock import DensityMatrix, FockStateVector, State, destroy, mode_operator
 
 __all__ = [
-    "GaussianData", "SingleModeGaussianParams", "SymplecticSpectrum",
+    "GaussianData", "SingleModeGaussianParams", "marginal",
     "moments", "h", "symplectic_eigenvalues", "gaussian_entropy",
     "fit_single_mode_gaussian", "reference_gaussian_state",
     "displacement_matrix", "squeeze_matrix", "thermal_weights",
@@ -87,43 +87,25 @@ class SingleModeGaussianParams:
         return abs(self.alpha) ** 2 + (self.n_th + 0.5) * math.cosh(2 * self.r) - 0.5
 
 
-@dataclass(frozen=True)
-class SymplecticSpectrum:
-    d_minus: float
-    d_plus: float
-
-    def __post_init__(self):
-        if self.d_minus > self.d_plus + 1e-15:
-            raise ArgumentError("requires d_minus <= d_plus")
-        if self.d_minus < 0.5 - tolerances().symp:
-            raise NumericalValidityError(
-                f"symplectic eigenvalue {self.d_minus} violates the uncertainty bound 1/2")
+def marginal(g: GaussianData, mode: int) -> GaussianData:
+    """First and second moments of one mode: its 2-entry and 2x2 blocks."""
+    if not 0 <= mode < g.modes:
+        raise ArgumentError(f"mode {mode} out of range for {g.modes} modes")
+    q = slice(2 * mode, 2 * mode + 2)
+    return GaussianData(g.X[q], g.sigma[q, q])
 
 
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
 
-def _apply_destroy(t: np.ndarray, axis: int) -> np.ndarray:
+def _ladder(t: np.ndarray, axis: int, lower: bool) -> np.ndarray:
+    """a (lower) or a^dag along one axis of a tensor; the top level is cropped."""
     d = t.shape[axis]
     out = np.zeros_like(t)
-    src = [slice(None)] * t.ndim
-    dst = [slice(None)] * t.ndim
-    src[axis] = slice(1, d)
-    dst[axis] = slice(0, d - 1)
-    shape = [1] * t.ndim
-    shape[axis] = d - 1
-    out[tuple(dst)] = t[tuple(src)] * np.sqrt(np.arange(1, d)).reshape(shape)
-    return out
-
-
-def _apply_create(t: np.ndarray, axis: int) -> np.ndarray:
-    d = t.shape[axis]
-    out = np.zeros_like(t)
-    src = [slice(None)] * t.ndim
-    dst = [slice(None)] * t.ndim
-    src[axis] = slice(0, d - 1)
-    dst[axis] = slice(1, d)
+    high, low = [slice(None)] * t.ndim, [slice(None)] * t.ndim
+    high[axis], low[axis] = slice(1, d), slice(0, d - 1)
+    src, dst = (high, low) if lower else (low, high)
     shape = [1] * t.ndim
     shape[axis] = d - 1
     out[tuple(dst)] = t[tuple(src)] * np.sqrt(np.arange(1, d)).reshape(shape)
@@ -144,7 +126,10 @@ def _moment_operators(modes: int, dim: int):
 
 
 def _pad_tensor(t: np.ndarray, pad: int) -> np.ndarray:
-    return np.pad(t, [(0, pad)] * t.ndim)
+    """t with pad zero levels appended on every axis (np.pad costs 20x more here)."""
+    out = np.zeros(tuple(n + pad for n in t.shape), dtype=t.dtype)
+    out[tuple(slice(0, n) for n in t.shape)] = t
+    return out
 
 
 def moments(state: State) -> GaussianData:
@@ -168,8 +153,8 @@ def moments(state: State) -> GaussianData:
         vecs = []
         for m in range(state.modes):
             axis = state.modes - 1 - m
-            av = _apply_destroy(t, axis)
-            cv = _apply_create(t, axis)
+            av = _ladder(t, axis, lower=True)
+            cv = _ladder(t, axis, lower=False)
             vecs.append((av + cv) / np.sqrt(2))
             vecs.append(-1j * (av - cv) / np.sqrt(2))
         flat = t.ravel()
@@ -179,16 +164,9 @@ def moments(state: State) -> GaussianData:
             for j in range(n):
                 E[k, j] = np.vdot(vecs[k].ravel(), vecs[j].ravel())
     else:
-        d = state.cutoff
-        dp = d + 2
-        if state.modes == 1:
-            padded = np.zeros((dp, dp), dtype=complex)
-            padded[:d, :d] = state.matrix
-        else:
-            t4 = state.matrix.reshape(d, d, d, d)
-            padded = np.zeros((dp,) * 4, dtype=complex)
-            padded[:d, :d, :d, :d] = t4
-            padded = padded.reshape(dp * dp, dp * dp)
+        dp = state.cutoff + 2
+        t = state.matrix.reshape((state.cutoff,) * (2 * state.modes))
+        padded = _pad_tensor(t, 2).reshape(dp ** state.modes, dp ** state.modes)
         ops = _moment_operators(state.modes, dp)
         X = np.array([float(np.real(np.trace(padded @ op))) for op in ops])
         E = np.empty((n, n), dtype=complex)
@@ -217,43 +195,45 @@ def h(x: float) -> float:
     return u * math.log(u) - v * math.log(v)
 
 
-def symplectic_eigenvalues(g: GaussianData) -> SymplecticSpectrum:
-    """d_pm from the local symplectic invariants of a 1- or 2-mode CM."""
+def symplectic_eigenvalues(g: GaussianData) -> np.ndarray:
+    """Ascending symplectic eigenvalues d_k, one per mode, of a 1- or 2-mode CM:
+    sqrt(det sigma) for one mode, the local symplectic invariants for two."""
     tol = tolerances()
     if g.modes == 1:
         det = float(np.linalg.det(g.sigma))
         if det < 0:
             raise NumericalValidityError("covariance matrix has negative determinant")
-        d = math.sqrt(det)
-        return SymplecticSpectrum(d, d)
-    if g.modes != 2:
+        d = np.array([math.sqrt(det)])
+    elif g.modes == 2:
+        s = g.sigma
+        i1 = float(np.linalg.det(s[:2, :2]))
+        i2 = float(np.linalg.det(s[2:, 2:]))
+        i3 = float(np.linalg.det(s[:2, 2:]))
+        i4 = float(np.linalg.det(s))
+        delta = i1 + i2 + 2 * i3
+        disc = delta * delta - 4 * i4
+        if disc < -tol.symp * max(1.0, delta * delta):
+            raise NumericalValidityError(
+                f"invalid two-mode CM: discriminant {disc:.3e} is negative")
+        disc = max(disc, 0.0)
+        hi = (delta + math.sqrt(disc)) / 2
+        lo = (delta - math.sqrt(disc)) / 2
+        if lo < 0:
+            if lo < -tol.symp * max(1.0, delta):
+                raise NumericalValidityError("invalid two-mode CM: negative d_-^2")
+            lo = 0.0
+        d = np.array([math.sqrt(lo), math.sqrt(hi)])
+    else:
         raise ArgumentError("symplectic spectrum implemented for 1- and 2-mode CMs")
-    s = g.sigma
-    i1 = float(np.linalg.det(s[:2, :2]))
-    i2 = float(np.linalg.det(s[2:, 2:]))
-    i3 = float(np.linalg.det(s[:2, 2:]))
-    i4 = float(np.linalg.det(s))
-    delta = i1 + i2 + 2 * i3
-    disc = delta * delta - 4 * i4
-    if disc < -tol.symp * max(1.0, delta * delta):
+    if not d[0] >= 0.5 - tol.symp:   # NaN fails the check
         raise NumericalValidityError(
-            f"invalid two-mode CM: discriminant {disc:.3e} is negative")
-    disc = max(disc, 0.0)
-    hi = (delta + math.sqrt(disc)) / 2
-    lo = (delta - math.sqrt(disc)) / 2
-    if lo < 0:
-        if lo < -tol.symp * max(1.0, delta):
-            raise NumericalValidityError("invalid two-mode CM: negative d_-^2")
-        lo = 0.0
-    return SymplecticSpectrum(math.sqrt(lo), math.sqrt(hi))
+            f"symplectic eigenvalue {d[0]} violates the uncertainty bound 1/2")
+    return d
 
 
 def gaussian_entropy(g: GaussianData) -> float:
-    """Entropy of the Gaussian state with the given moments."""
-    spec = symplectic_eigenvalues(g)
-    if g.modes == 1:
-        return h(spec.d_minus)
-    return h(spec.d_minus) + h(spec.d_plus)
+    """Entropy sum_k h(d_k) of the Gaussian state with the given moments."""
+    return float(sum(h(d) for d in symplectic_eigenvalues(g)))
 
 
 # ---------------------------------------------------------------------------

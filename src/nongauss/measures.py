@@ -11,13 +11,12 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .channels import ChannelSpec, apply_channel
-from .config import tolerances
 from .errors import ArgumentError, NumericalValidityError
 from .fock import (DensityMatrix, FockStateVector, MeasureReport, State,
                    as_density, _entropy_of_spectrum, purity,
                    random_density_matrix)
 from .gaussian import (GaussianData, fit_single_mode_gaussian, gaussian_entropy,
-                       gaussian_fock_block, moments,
+                       gaussian_fock_block, moments, symplectic_eigenvalues,
                        synthesize_single_mode_gaussian, SingleModeGaussianParams)
 from .states import _coherent_amplitudes
 
@@ -33,7 +32,7 @@ def delta_a(rho: State) -> MeasureReport:
     """Squared renormalized HS distance to the reference Gaussian,
     (mu[rho] + mu[tau] - 2 kappa) / (2 mu[rho]).
 
-    mu[tau] comes from the exact Gaussian purity 1/(2 sqrt(det sigma)) and
+    mu[tau] comes from the exact Gaussian purity prod_k 1/(2 d_k) and
     kappa from the unrenormalized Fock block of tau, so states whose reference
     Gaussian extends far beyond the cutoff are still handled exactly.
     """
@@ -44,7 +43,7 @@ def delta_a(rho: State) -> MeasureReport:
     params = fit_single_mode_gaussian(g)
     block, deficit = gaussian_fock_block(params, rho.cutoff)
     mu_rho = purity(rho)
-    mu_tau = 0.5 / math.sqrt(float(np.linalg.det(g.sigma)))  # exact Gaussian purity
+    mu_tau = float(np.prod(0.5 / symplectic_eigenvalues(g)))  # exact Gaussian purity
     dm = as_density(rho)
     kappa = float(np.real(np.vdot(dm.matrix, block)))
     value = (mu_rho + mu_tau - 2.0 * kappa) / (2.0 * mu_rho)
@@ -61,8 +60,6 @@ def delta_b(rho: State) -> MeasureReport:
     Never goes through log(tau): with matched moments the identity is exact and
     needs no reference-state synthesis (which keeps two-mode states in reach).
     """
-    if rho.modes > 2:
-        raise ArgumentError("delta_B is implemented for 1- and 2-mode states")
     return _delta_b_from_moments(rho, moments(rho))
 
 
@@ -92,6 +89,11 @@ class QuadratureGrid:
     half_width: float
     spacing: float = 0.05
 
+    def __post_init__(self):
+        if not (self.half_width > 0 and self.spacing > 0):
+            raise ArgumentError(f"grid half-width {self.half_width} and spacing "
+                                f"{self.spacing} must be positive")
+
     def points(self):
         n = int(math.floor(2 * self.half_width / self.spacing)) + 1
         xs = (np.arange(n) - (n - 1) / 2) * self.spacing
@@ -102,7 +104,7 @@ class QuadratureGrid:
         return QuadratureGrid(math.sqrt(2.0 * (state.energy() + 1.0)) + 5.0)
 
     @staticmethod
-    def covering(state: State, spacing: float = 0.05) -> "QuadratureGrid":
+    def covering(state: State) -> "QuadratureGrid":
         """Half-width of 5.5 Husimi standard deviations along the widest axis,
         plus the displacement and a margin of 1; use this
         for strongly squeezed states, whose Q function outgrows the default
@@ -111,7 +113,7 @@ class QuadratureGrid:
         k = g.sigma + 0.5 * np.eye(2)
         spread = math.sqrt(float(np.linalg.eigvalsh(k)[-1]) / 2.0)
         center = float(np.linalg.norm(g.X)) / math.sqrt(2.0)
-        return QuadratureGrid(5.5 * spread + center + 1.0, spacing)
+        return QuadratureGrid(5.5 * spread + center + 1.0)
 
 
 def _husimi_on_grid(state: State, xs: np.ndarray) -> np.ndarray:

@@ -193,6 +193,30 @@ def test_config_file(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("text", ["log_base=10\n", "cutoff=abc\n",
+                                  "tolerance_profile=bogus\n", "no_such_key=1\n", None],
+                         ids=["log-base", "cutoff", "profile", "unknown-key", "missing-file"])
+def test_bad_config_file_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    try:
+        code = main(["--config", str(cfg), "measure", "deltaB", "--state", "fock:1"])
+    except SystemExit as exc:   # argparse rejects the value as a usage error
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error: " in captured.err and "Traceback" not in captured.err
+
+
+def test_grid_spacing_applies_to_the_default_grid(tmp_path, capsys):
+    path = tmp_path / "dc.json"
+    code, _, _ = run(capsys, "measure", "deltaC", "--state", "fock:1",
+                     "--grid-spacing", "0.2", "--out", str(path))
+    assert code == 0
+    assert json.loads(path.read_text())["diagnostics"]["grid_spacing"] == 0.2
+
+
 @pytest.mark.parametrize("argv", [
     ["measure", "deltaB", "--state", "coherent:nan"],
     ["measure", "deltaB", "--state", "squeezed:inf"],
@@ -201,9 +225,12 @@ def test_config_file(tmp_path, capsys):
     ["bound", "A", "--hist", "{dir}/counts.csv"],
     ["channel", "apply", "--channel", "phasediff:nan", "--state", "fock:1"],
     ["sweep", "--family", "fock", "--param", "n=x"],
+    ["sweep", "--family", "fock", "--param", "n=1", "--param", "n=2"],
+    ["measure", "deltaC", "--state", "fock:1", "--grid-spacing", "0"],
     ["protocol", "browne", "--steps", "1", "--leak-budget", "x"],
 ], ids=["coherent-nan", "squeezed-inf", "json-syntax", "json-no-cutoff",
-        "hist-row", "channel-nan", "sweep-param", "leak-budget"])
+        "hist-row", "channel-nan", "sweep-param", "sweep-repeated-param",
+        "grid-spacing-0", "leak-budget"])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     (tmp_path / "bad.json").write_text("{bad")
     (tmp_path / "no_cutoff.json").write_text('{"modes": 1, "re": [1.0], "im": [0.0]}')

@@ -97,6 +97,18 @@ def test_partial_trace_recovers_factors():
         partial_trace(ab, set())
 
 
+def test_partial_trace_three_modes():
+    rng = np.random.default_rng(5)
+    a, b, c = (random_density_matrix(1, 3, r, rng) for r in (1, 2, 3))
+    abc = tensor(a, tensor(b, c))   # mode 0 is a, mode 1 is b, mode 2 is c
+    expected = {(0,): a, (1,): b, (2,): c, (0, 1): tensor(a, b),
+                (0, 2): tensor(a, c), (1, 2): tensor(b, c)}
+    for keep, factor in expected.items():
+        red = partial_trace(abc, keep)
+        assert red.modes == len(keep)
+        assert np.max(np.abs(red.matrix - factor.matrix)) <= 1e-12
+
+
 def test_partial_trace_twin_beam_thermal():
     # sum_n x^n |n,n> traces to a thermal-like diagonal with p_n ~ x^(2n)
     d, x = 10, 0.4

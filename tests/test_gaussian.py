@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from nongauss import (DensityMatrix, GaussianData, NumericalValidityError,
-                      TruncationError, fit_single_mode_gaussian, gaussian_entropy,
-                      h, moments, reference_gaussian_state, symplectic_eigenvalues,
-                      von_neumann_entropy)
+from nongauss import (ArgumentError, DensityMatrix, GaussianData,
+                      NumericalValidityError, TruncationError, fit_single_mode_gaussian,
+                      gaussian_conditional_entropy, gaussian_entropy,
+                      gaussian_mutual_information, h, moments, partial_trace,
+                      random_density_matrix, reference_gaussian_state,
+                      symplectic_eigenvalues, von_neumann_entropy)
 from nongauss.channels import displace, squeeze
-from nongauss.gaussian import synthesize_single_mode_gaussian, SingleModeGaussianParams
+from nongauss.gaussian import marginal, synthesize_single_mode_gaussian, SingleModeGaussianParams
 from nongauss.states import cat, coherent, fock, squeezed_vacuum, thermal, vacuum
 
 
@@ -58,12 +60,12 @@ def brute_force_symplectic(sigma):
 def test_symplectic_eigenvalues():
     g = moments(vacuum(6, modes=2))
     spec = symplectic_eigenvalues(g)
-    assert abs(spec.d_minus - 0.5) < 1e-12 and abs(spec.d_plus - 0.5) < 1e-12
+    assert abs(spec[0] - 0.5) < 1e-12 and abs(spec[1] - 0.5) < 1e-12
 
     # product thermal CM: diag(a,a,b,b) -> (min, max)
     sigma = np.diag([0.8, 0.8, 2.5, 2.5])
     spec = symplectic_eigenvalues(GaussianData(np.zeros(4), sigma))
-    assert abs(spec.d_minus - 0.8) < 1e-12 and abs(spec.d_plus - 2.5) < 1e-12
+    assert abs(spec[0] - 0.8) < 1e-12 and abs(spec[1] - 2.5) < 1e-12
 
     # twin-beam-like CM against a brute-force i*Omega*sigma diagonalization
     n_mean, c = 1.3, 1.1
@@ -72,8 +74,8 @@ def test_symplectic_eigenvalues():
     sigma = np.block([[a, cc], [cc, a]])
     spec = symplectic_eigenvalues(GaussianData(np.zeros(4), sigma))
     brute = brute_force_symplectic(sigma)
-    assert abs(spec.d_minus * spec.d_plus - np.sqrt(np.linalg.det(sigma))) < 1e-10
-    assert np.allclose(sorted([spec.d_minus, spec.d_plus]), sorted(brute), atol=1e-10)
+    assert abs(spec[0] * spec[1] - np.sqrt(np.linalg.det(sigma))) < 1e-10
+    assert np.allclose(sorted([spec[0], spec[1]]), sorted(brute), atol=1e-10)
 
 
 def test_gaussian_entropy():
@@ -85,6 +87,25 @@ def test_gaussian_entropy():
         g = moments(thermal(n_mean, 80 if n_mean < 3 else 160))
         s = von_neumann_entropy(thermal(n_mean, 80 if n_mean < 3 else 160))
         assert abs(gaussian_entropy(g) - s) < 1e-8
+
+
+def test_marginal_matches_reduced_state_moments():
+    rng = np.random.default_rng(11)
+    for rank in (1, 3, 9):
+        rho = random_density_matrix(2, 5, rank, rng)
+        g = moments(rho)
+        for k in (0, 1):
+            gk, reduced = marginal(g, k), moments(partial_trace(rho, {k}))
+            assert np.max(np.abs(gk.X - reduced.X)) <= 1e-12
+            assert np.max(np.abs(gk.sigma - reduced.sigma)) <= 1e-12
+    with pytest.raises(ArgumentError):
+        marginal(g, 2)
+
+    # product thermal CM diag(a, a, b, b): no correlations, S_G(A|B) = S(tau_A)
+    a, b = 0.8, 2.5
+    g = GaussianData(np.zeros(4), np.diag([a, a, b, b]))
+    assert abs(gaussian_mutual_information(g)) < 1e-12
+    assert abs(gaussian_conditional_entropy(g) - h(a)) < 1e-12
 
 
 def test_fit_single_mode():
@@ -156,5 +177,5 @@ def test_symplectic_invariance_under_local_unitaries():
     spec0 = symplectic_eigenvalues(moments(psi))
     rot = squeeze(displace(psi, 0.25, mode=0), 0.15, 0.4, mode=1)
     spec1 = symplectic_eigenvalues(moments(rot))
-    assert abs(spec0.d_minus - spec1.d_minus) < 1e-6
-    assert abs(spec0.d_plus - spec1.d_plus) < 1e-6
+    assert abs(spec0[0] - spec1[0]) < 1e-6
+    assert abs(spec0[1] - spec1[1]) < 1e-6
