@@ -301,12 +301,15 @@ def _parse_param(text: str):
     if not value:
         raise ArgumentError(f"malformed --param {text!r}; use name=value or name=lo:hi:count")
     try:
-        if ":" in value:
-            lo, hi, count = value.split(":")
-            return name, np.linspace(finite_float(lo), finite_float(hi), int(count))
-        return name, [finite_float(value)]
+        if ":" not in value:
+            return name, [finite_float(value)]
+        lo, hi, count = value.split(":")
+        lo, hi, count = finite_float(lo), finite_float(hi), int(count)
     except ValueError:
         raise ArgumentError(f"malformed --param {text!r}") from None
+    if count < 1:
+        raise ArgumentError(f"--param {text!r}: a range needs count >= 1")
+    return name, np.linspace(lo, hi, count)
 
 
 def cmd_sweep(args) -> int:

@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .config import tolerances
 from .errors import ArgumentError, NumericalValidityError, TruncationError
@@ -26,6 +27,7 @@ __all__ = [
     "GaussianData", "SingleModeGaussianParams", "marginal",
     "moments", "h", "symplectic_eigenvalues", "gaussian_entropy",
     "fit_single_mode_gaussian", "reference_gaussian_state",
+    "displacement_generator", "squeeze_generator",
     "displacement_matrix", "squeeze_matrix", "thermal_weights",
     "gaussian_fock_block", "synthesize_single_mode_gaussian",
 ]
@@ -277,17 +279,59 @@ def _cm_from_params(p: SingleModeGaussianParams) -> np.ndarray:
     ])
 
 
+def _off_diagonal_pair(upper: np.ndarray, lower: np.ndarray, offset: int):
+    """COO entries (values, (rows, cols)): upper[k] at (k, k+offset), lower[k] at (k+offset, k)."""
+    k = np.arange(upper.size)
+    return (np.concatenate([upper, lower]),
+            (np.concatenate([k, k + offset]), np.concatenate([k + offset, k])))
+
+
+def _displacement_entries(alpha: complex, dim: int):
+    """COO entries of alpha a^dag - alpha* a, equal to the dense products bit for bit."""
+    root = np.sqrt(np.arange(1, dim))
+    return _off_diagonal_pair(-(np.conj(alpha) * root), alpha * root, 1)
+
+
+def _squeeze_entries(r: float, phi: float, dim: int):
+    """COO entries of (1/2)(zeta a^2 - zeta* a^dag^2), zeta = r e^{i phi}.
+
+    The products are associated as in the dense (zeta a) @ a and
+    (zeta* a^dag) @ a^dag, so the entries equal the dense ones bit for bit.
+    """
+    zeta = r * np.exp(1j * phi)
+    k = np.arange(max(dim - 2, 0))
+    r1, r2 = np.sqrt(k + 1), np.sqrt(k + 2)
+    return _off_diagonal_pair(0.5 * ((zeta * r1) * r2), -0.5 * ((np.conj(zeta) * r2) * r1), 2)
+
+
+def _dense(entries, dim: int) -> np.ndarray:
+    """The dim x dim array of COO entries; for the small blocks of the synthesis
+    this costs a tenth of building a scipy.sparse matrix and expanding it."""
+    values, index = entries
+    out = np.zeros((dim, dim), dtype=complex)
+    out[index] = values
+    return out
+
+
+def displacement_generator(alpha: complex, dim: int) -> scipy.sparse.csr_array:
+    """alpha a^dag - alpha* a on a dim-level mode, as a sparse matrix."""
+    return scipy.sparse.csr_array(_displacement_entries(alpha, dim), shape=(dim, dim))
+
+
+def squeeze_generator(r: float, phi: float, dim: int) -> scipy.sparse.csr_array:
+    """(1/2)(zeta a^2 - zeta* a^dag^2), zeta = r e^{i phi}, on a dim-level mode,
+    as a sparse matrix."""
+    return scipy.sparse.csr_array(_squeeze_entries(r, phi, dim), shape=(dim, dim))
+
+
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     """D(alpha) = exp(alpha a^dag - alpha* a) on a dim-level mode."""
-    a = destroy(dim)
-    return scipy.linalg.expm(alpha * a.conj().T - np.conj(alpha) * a)
+    return scipy.linalg.expm(_dense(_displacement_entries(alpha, dim), dim))
 
 
 def squeeze_matrix(r: float, phi: float, dim: int) -> np.ndarray:
     """S(r, phi) = exp((r/2)(e^{i phi} a^2 - e^{-i phi} a^dag^2))."""
-    a = destroy(dim)
-    zeta = r * np.exp(1j * phi)
-    return scipy.linalg.expm(0.5 * (zeta * a @ a - np.conj(zeta) * a.conj().T @ a.conj().T))
+    return scipy.linalg.expm(_dense(_squeeze_entries(r, phi, dim), dim))
 
 
 def thermal_weights(n_th: float, dim: int) -> np.ndarray:

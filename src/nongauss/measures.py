@@ -117,7 +117,11 @@ class QuadratureGrid:
 
 
 def _husimi_on_grid(state: State, xs: np.ndarray) -> np.ndarray:
-    """Q(alpha) = <alpha|rho|alpha>/pi on the grid xs x xs, row-chunked."""
+    """Q(alpha) = <alpha|rho|alpha>/pi on the grid xs x xs, row-chunked.
+
+    Each chunk of grid rows holds about 1e6 coherent amplitudes (16 MB); with
+    4e6 (64 MB) the Husimi grids of the wehrl benchmark took twice as long.
+    """
     d = state.cutoff
     if isinstance(state, DensityMatrix):
         lam, vec = np.linalg.eigh(state.matrix)
@@ -126,7 +130,7 @@ def _husimi_on_grid(state: State, xs: np.ndarray) -> np.ndarray:
     else:
         lam, vec = np.array([1.0]), state.amplitudes.reshape(-1, 1)
     q = np.empty((xs.size, xs.size))
-    chunk = max(1, int(4e6 // max(d * xs.size, 1)))
+    chunk = max(1, int(1e6 // max(d * xs.size, 1)))
     for lo in range(0, xs.size, chunk):
         hi = min(lo + chunk, xs.size)
         alphas = (xs[lo:hi, None] + 1j * xs[None, :]).ravel()
@@ -161,6 +165,12 @@ def delta_c(rho: State, grid: QuadratureGrid | None = None) -> MeasureReport:
 
     The reference term uses the closed-form Gaussian Husimi function on the
     same grid, so both entropies share the quadrature bias.
+
+    Cost: for P grid points, cutoff d and a rank-k state (k = 1 for a
+    vector), the Husimi grid takes two complex products per point and level
+    for the coherent recursion plus P d k multiply-adds for the overlaps.
+    Memory is a 16 MB chunk of coherent amplitudes plus O(P k); a density
+    also pays one d x d eigh.
     """
     if rho.modes != 1:
         raise ArgumentError("delta_C is single-mode only")
@@ -230,8 +240,17 @@ def ng_of_map(channel: ChannelSpec, energy_cap: float = 4.0, cutoff: int = 30,
     delta_B[E(rho_G)], by coarse grid search plus simplex refinement.
 
     The reported value is a certified lower bound on the true supremum: every
-    probe evaluated is an admissible Gaussian state under the energy cap.
+    probe evaluated is an admissible Gaussian state under the energy cap.  A
+    Gaussian channel (loss, a Gaussian unitary) maps every probe to a Gaussian
+    state, so its value is exactly 0, reported with no evaluations and the
+    vacuum as the probe.
     """
+    if channel.kind == "gaussian_unitary" and channel.params["generator"][0] == "beamsplit":
+        raise ArgumentError("ng_of_map probes one mode; a beam splitter acts on two")
+    if channel.is_gaussian:
+        return MeasureReport(0.0, {"evaluations": 0.0, "cutoff_used": cutoff,
+                                   "probe_n_th": 0.0, "probe_r": 0.0, "probe_phi": 0.0,
+                                   "probe_alpha_mag": 0.0, "probe_alpha_arg": 0.0})
     evals = 0
 
     def probe_cutoff(params: SingleModeGaussianParams) -> int:

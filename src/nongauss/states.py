@@ -42,7 +42,9 @@ def vacuum(cutoff: int, modes: int = 1) -> FockStateVector:
 
 
 def fock(n: int, cutoff: int) -> FockStateVector:
-    if not 0 <= n < cutoff:
+    if n < 0:
+        raise ArgumentError("n must be >= 0")
+    if n >= cutoff:
         raise ArgumentError(f"fock({n}) needs cutoff > {n}")
     amps = np.zeros(cutoff, dtype=complex)
     amps[n] = 1.0

@@ -9,6 +9,7 @@ from nongauss import (ArgumentError, ChannelSpec, DensityMatrix, FockStateVector
                       TruncationError, apply_channel, beam_split, delta_a, delta_b,
                       displace, kerr, loss, phase_diffusion, squeeze)
 from nongauss.channels import _bs_blocks, loss_transition_matrix
+from nongauss.gaussian import displacement_matrix, squeeze_matrix
 from nongauss.states import coherent, fock, thermal, vacuum
 
 
@@ -248,6 +249,38 @@ def test_local_unitary_commutes_with_mode_relabelling():
             else:
                 assert np.max(np.abs(direct.matrix - moved.matrix)) <= 1e-12
                 assert abs(direct.leakage - moved.leakage) <= 1e-12
+
+
+def test_displace_and_squeeze_match_the_dense_blocks():
+    # reference: the d x d block of the unitary built densely at the internal
+    # cutoff, applied to one mode's axis (its conjugate on the bra side)
+    alpha, r, phi = 0.5 - 0.3j, 0.15, 1.1   # leakage from 1e-11 to 2e-7
+    cases = [
+        (lambda st, m: displace(st, alpha, m),
+         lambda d: displacement_matrix(
+             alpha, d + max(20, int(np.ceil(2 * abs(alpha) ** 2 + 6 * abs(alpha) * np.sqrt(d)))))),
+        (lambda st, m: squeeze(st, r, phi, m),
+         lambda d: squeeze_matrix(r, phi, int(np.ceil(d * np.cosh(2 * r))) + 20)),
+    ]
+    for modes, d, low in ((1, 16, 5), (2, 12, 4)):
+        psi = _low_state(modes, d, low, seed=10 + modes)
+        rho = psi.density()
+        for op, dense in cases:
+            u = dense(d)[:d, :d]
+            for mode in range(modes):
+                ax = modes - 1 - mode
+                t = np.moveaxis(np.tensordot(u, psi.as_tensor(), axes=(1, ax)), 0, ax)
+                kept = np.sum(np.abs(t) ** 2)
+                out = op(psi, mode)
+                assert np.max(np.abs(out.amplitudes - t.ravel() / np.sqrt(kept))) <= 1e-12
+                m = rho.matrix.reshape((d,) * (2 * modes))
+                m = np.moveaxis(np.tensordot(u, m, axes=(1, ax)), 0, ax)
+                m = np.moveaxis(np.tensordot(u.conj(), m, axes=(1, ax + modes)), 0, ax + modes)
+                m = m.reshape(d ** modes, d ** modes)
+                out = op(rho, mode)
+                assert np.max(np.abs(out.matrix - m / np.trace(m))) <= 1e-12
+                assert abs(out.leakage - (1.0 - kept)) <= 1e-12
+                assert abs(np.trace(m) - kept) <= 1e-12
 
 
 def test_local_unitary_leakage_raises():

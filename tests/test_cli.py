@@ -226,11 +226,12 @@ def test_grid_spacing_applies_to_the_default_grid(tmp_path, capsys):
     ["channel", "apply", "--channel", "phasediff:nan", "--state", "fock:1"],
     ["sweep", "--family", "fock", "--param", "n=x"],
     ["sweep", "--family", "fock", "--param", "n=1", "--param", "n=2"],
+    ["sweep", "--family", "fock", "--measure", "deltaB", "--param", "n=1:3:0"],
     ["measure", "deltaC", "--state", "fock:1", "--grid-spacing", "0"],
     ["protocol", "browne", "--steps", "1", "--leak-budget", "x"],
 ], ids=["coherent-nan", "squeezed-inf", "json-syntax", "json-no-cutoff",
         "hist-row", "channel-nan", "sweep-param", "sweep-repeated-param",
-        "grid-spacing-0", "leak-budget"])
+        "sweep-zero-count", "grid-spacing-0", "leak-budget"])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     (tmp_path / "bad.json").write_text("{bad")
     (tmp_path / "no_cutoff.json").write_text('{"modes": 1, "re": [1.0], "im": [0.0]}')

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nongauss import (ArgumentError, DensityMatrix, GaussianData,
                       NumericalValidityError, TruncationError, fit_single_mode_gaussian,
@@ -8,7 +9,10 @@ from nongauss import (ArgumentError, DensityMatrix, GaussianData,
                       random_density_matrix, reference_gaussian_state,
                       symplectic_eigenvalues, von_neumann_entropy)
 from nongauss.channels import displace, squeeze
-from nongauss.gaussian import marginal, synthesize_single_mode_gaussian, SingleModeGaussianParams
+from nongauss.fock import destroy
+from nongauss.gaussian import (displacement_generator, displacement_matrix, marginal,
+                               squeeze_generator, squeeze_matrix,
+                               synthesize_single_mode_gaussian, SingleModeGaussianParams)
 from nongauss.states import cat, coherent, fock, squeezed_vacuum, thermal, vacuum
 
 
@@ -179,3 +183,23 @@ def test_symplectic_invariance_under_local_unitaries():
     spec1 = symplectic_eigenvalues(moments(rot))
     assert abs(spec0[0] - spec1[0]) < 1e-6
     assert abs(spec0[1] - spec1[1]) < 1e-6
+
+
+def test_generators_equal_the_dense_products():
+    # entry for entry the dense products, bit for bit, so the matrices built
+    # from them (and every synthesized reference Gaussian) are unchanged
+    rng = np.random.default_rng(11)
+    for i in range(60):
+        dim = int(rng.integers(1, 200))
+        r, phi = rng.uniform(0.0, 1.5), rng.uniform(0.0, 2 * np.pi)
+        alpha = complex(*rng.standard_normal(2))
+        a = destroy(dim)
+        ad = a.conj().T
+        zeta = r * np.exp(1j * phi)
+        dense_d = alpha * ad - np.conj(alpha) * a
+        dense_s = 0.5 * ((zeta * a) @ a - (np.conj(zeta) * ad) @ ad)
+        assert np.array_equal(displacement_generator(alpha, dim).toarray(), dense_d)
+        assert np.array_equal(squeeze_generator(r, phi, dim).toarray(), dense_s)
+        if i % 10 == 0:
+            assert np.array_equal(displacement_matrix(alpha, dim), scipy.linalg.expm(dense_d))
+            assert np.array_equal(squeeze_matrix(r, phi, dim), scipy.linalg.expm(dense_s))

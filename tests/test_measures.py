@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from nongauss import (ArgumentError, ChannelSpec, DensityMatrix, FockStateVector,
                       NumericalValidityError, QuadratureGrid,
@@ -8,8 +9,9 @@ from nongauss import (ArgumentError, ChannelSpec, DensityMatrix, FockStateVector
                       random_density_matrix, tensor)
 from nongauss.channels import displace, phase_diffusion, squeeze
 from nongauss.gaussian import h
-from nongauss.states import (cat, coherent, diagonal_mixture, fock,
-                             fock_superposition, squeezed_vacuum, thermal)
+from nongauss.measures import _husimi_on_grid
+from nongauss.states import (_coherent_amplitudes, cat, coherent, diagonal_mixture,
+                             fock, fock_superposition, squeezed_vacuum, thermal)
 
 
 def test_delta_a_oracles():
@@ -143,6 +145,39 @@ def test_delta_c_not_squeeze_invariant():
     assert max(vals) - min(vals) > 2e-3
 
 
+def test_husimi_chunks_match_the_dense_overlaps():
+    # reference: the whole (levels x points) coherent amplitude matrix at once;
+    # both grids take two or more row chunks, and the wide one reaches
+    # |alpha|^2 = 1568, where e^{-|alpha|^2/2} underflows and the recursion is
+    # seeded in log space
+    sq = squeeze(fock(2, 60), 0.6)
+    rho = random_density_matrix(1, 40, 3, seed=5)
+    for state, xs in ((sq, QuadratureGrid(QuadratureGrid.covering(sq).half_width, 0.1).points()),
+                      (rho, np.linspace(-28.0, 28.0, 201))):
+        alphas = (xs[:, None] + 1j * xs[None, :]).ravel()
+        if isinstance(state, DensityMatrix):
+            lam, vec = np.linalg.eigh(state.matrix)
+        else:
+            lam, vec = np.array([1.0]), state.amplitudes.reshape(-1, 1)
+        assert state.cutoff * xs.size ** 2 > 1e6   # more than one chunk of amplitudes
+        overlaps = _coherent_amplitudes(alphas, state.cutoff).T @ vec.conj()
+        ref = (np.abs(overlaps) ** 2 @ lam).reshape(xs.size, xs.size) / np.pi
+        assert np.max(np.abs(_husimi_on_grid(state, xs) - ref)) <= 1e-14
+
+
+def test_husimi_of_a_high_fock_state_in_the_log_seeded_range():
+    # Q of |n> is e^{-|a|^2} |a|^{2n} / (pi n!); at n = 1450 it peaks at
+    # |a|^2 = 1450, on both sides of |a|^2 ~ 1417, where the coherent
+    # recursion switches to its log-space seed
+    n = 1450
+    xs = np.linspace(26.4, 27.6, 13)
+    mod2 = xs[:, None] ** 2 + xs[None, :] ** 2
+    assert mod2.min() < 1417 < mod2.max()
+    ref = np.exp(n * np.log(mod2) - mod2 - gammaln(n + 1)) / np.pi
+    got = _husimi_on_grid(fock(n, n + 1), xs)
+    assert np.max(np.abs(got - ref) / ref) <= 1e-10
+
+
 def test_conjecture_sweep():
     summary = conjecture_a5_sweep(150, [5, 8], seed=3)
     for d, stats in summary.items():
@@ -162,10 +197,22 @@ def test_ng_of_map():
     assert rep.diagnostics["evaluations"] <= 120
 
 
+def test_gaussian_channels_have_zero_map_non_gaussianity():
+    # Gaussian probes stay Gaussian: exactly 0, with no probe evaluated
+    for spec in (ChannelSpec.loss(0.6), ChannelSpec.gaussian_unitary("squeeze", 0.4, 0.3)):
+        rep = ng_of_map(spec, energy_cap=2.0, cutoff=25, budget=100)
+        assert rep.value == 0.0
+        assert rep.diagnostics["evaluations"] == 0
+        assert all(rep.diagnostics[k] == 0.0 for k in rep.diagnostics if k.startswith("probe_"))
+    with pytest.raises(ArgumentError, match="generator tuple"):
+        ChannelSpec.gaussian_unitary("shear", 0.4)   # ng_of_map would never apply it
+    with pytest.raises(ArgumentError, match="two"):
+        ng_of_map(ChannelSpec.gaussian_unitary("beamsplit", 0.3, (0, 1)))
+
+
 def test_phase_diffusion_poisson_limit():
     # Delta -> infinity: coherent state becomes the Poisson diagonal mixture
     from nongauss.states import delta_b_diagonal
-    from scipy.special import gammaln
     alpha = 1.3
     rho = phase_diffusion(coherent(alpha, 40).density(), 6.0)
     lam = alpha ** 2

@@ -43,6 +43,13 @@ def test_coherent_amplitudes_match_log_space(mag, dim):
         assert np.all(np.abs(got - ref)[big] <= 1e-10 * np.abs(ref)[big])
 
 
+def test_fock_rejects_negative_n():
+    with pytest.raises(ArgumentError, match="n must be >= 0"):
+        fock(-1, 40)
+    with pytest.raises(ArgumentError, match="cutoff > 5"):
+        fock(5, 5)
+
+
 def test_tail_errors_suggest_cutoff():
     with pytest.raises(TruncationError, match="minimal adequate cutoff"):
         coherent(3.0, 12)
