@@ -20,8 +20,9 @@ import numpy as np
 from .channels import loss_transition_matrix
 from .config import tolerances
 from .errors import ArgumentError, NumericalValidityError
-from .fock import DensityMatrix, State, as_density, destroy, shannon_entropy
-from .gaussian import GaussianData, gaussian_entropy, h, moments
+from .fock import DensityMatrix, State, as_density, shannon_entropy
+from .gaussian import GaussianData, gaussian_entropy, moments
+from .states import delta_b_diagonal
 
 __all__ = [
     "PhotodetectionPOVM", "detection_statistics", "histogram_to_distribution",
@@ -96,14 +97,14 @@ def epsilon_a(q) -> float:
     q = np.asarray(q, dtype=float).ravel()
     if np.any(q < 0) or abs(q.sum() - 1.0) > 1e-8:
         raise ArgumentError("q must be a probability distribution")
-    m_mean = float(np.dot(np.arange(q.size), q))
-    return h(m_mean + 0.5) - shannon_entropy(q)
+    return delta_b_diagonal(q)
 
 
 def _check_thermal_reference(rho: DensityMatrix) -> None:
-    a = destroy(rho.cutoff)
-    t1 = abs(complex(np.trace(rho.matrix @ a)))
-    t2 = abs(complex(np.trace(rho.matrix @ a @ a)))
+    # Tr[rho a] = sum_m sqrt(m) rho[m, m-1], Tr[rho a^2] = sum_m sqrt(m(m-1)) rho[m, m-2]
+    m = np.arange(rho.cutoff)
+    t1 = abs(complex(np.dot(np.sqrt(m[1:]), np.diagonal(rho.matrix, -1))))
+    t2 = abs(complex(np.dot(np.sqrt(m[2:] * m[1:-1]), np.diagonal(rho.matrix, -2))))
     if t1 > 1e-8 or t2 > 1e-8:
         raise ArgumentError(
             f"state is outside the thermal-reference class: |<a>| = {t1:.2e}, "
@@ -116,9 +117,7 @@ def epsilon_b(rho: State) -> float:
     if rho.modes != 1:
         raise ArgumentError("epsilon_B is single-mode")
     _check_thermal_reference(rho)
-    p_diag = np.clip(np.real(np.diag(rho.matrix)), 0.0, None)
-    n_mean = float(np.dot(np.arange(rho.cutoff), p_diag))
-    return h(n_mean + 0.5) - shannon_entropy(p_diag)
+    return delta_b_diagonal(np.clip(np.real(np.diag(rho.matrix)), 0.0, None))
 
 
 def epsilon_c(rho: State, eta: float) -> float:

@@ -8,6 +8,7 @@ convention is safe once fixed.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ from .gaussian import displacement_generator, squeeze_generator
 
 __all__ = [
     "ChannelSpec", "loss", "loss_transition_matrix", "phase_diffusion", "kerr",
-    "displace", "squeeze", "beam_split", "gaussian_unitary", "apply_channel",
+    "displace", "squeeze", "beam_split", "apply_channel",
 ]
 
 
@@ -29,37 +30,56 @@ __all__ = [
 # channel description
 # ---------------------------------------------------------------------------
 
+# ChannelSpec kind -> the operation of this module it names
+_OPERATIONS = {"loss": "loss", "phase_diffusion": "phase_diffusion", "kerr": "kerr",
+               "displace": "displace", "squeeze": "squeeze", "beamsplit": "beam_split"}
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Tagged description of one of the supported evolutions."""
+    """One operation of this module by name, with its keyword arguments:
+
+        loss             eta in [0, 1]
+        phase_diffusion  delta >= 0
+        kerr             gamma
+        displace         alpha, mode=0
+        squeeze          r, phi=0.0, mode=0
+        beamsplit        theta=pi/4, modes=(0, 1)
+
+    ChannelSpec("squeeze", {"r": 0.4, "phi": 0.3}) stands for
+    squeeze(state, r=0.4, phi=0.3).  The parameters are checked here, not only
+    when applied: ng_of_map never applies a Gaussian kind.
+    """
 
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         k, p = self.kind, self.params
-        if k == "loss":
-            if not 0.0 <= p.get("eta", -1) <= 1.0:
-                raise ArgumentError("loss requires eta in [0, 1]")
-        elif k == "phase_diffusion":
-            if p.get("delta", -1) < 0:
-                raise ArgumentError("phase diffusion requires delta >= 0")
-        elif k == "kerr":
-            if "gamma" not in p:
-                raise ArgumentError("kerr requires gamma")
-        elif k == "gaussian_unitary":
-            # checked here, not only when applied: ng_of_map never applies it
-            if not p.get("generator") or p["generator"][0] not in ("displace", "squeeze",
-                                                                  "beamsplit"):
-                raise ArgumentError("gaussian_unitary requires a displace, squeeze or "
-                                    "beamsplit generator tuple")
-        else:
-            raise ArgumentError(f"unknown channel kind {k!r}")
+        if k not in _OPERATIONS:
+            raise ArgumentError(f"unknown channel kind {k!r}; kinds: {', '.join(_OPERATIONS)}")
+        try:
+            inspect.signature(globals()[_OPERATIONS[k]]).bind(None, **p)
+        except TypeError as exc:
+            raise ArgumentError(f"{k}: {exc}") from None
+        for key, value in p.items():
+            # (numpy dtype kinds, shape, name) each parameter must have
+            kinds, shape, what = {"mode": ("biu", (), "an integer"),
+                                  "modes": ("biu", (2,), "a pair of integers"),
+                                  "alpha": ("biufc", (), "a finite complex number")
+                                  }.get(key, ("biuf", (), "a finite real number"))
+            arr = np.asarray(value)
+            if arr.dtype.kind not in kinds or arr.shape != shape or not np.all(np.isfinite(arr)):
+                raise ArgumentError(f"{k}: {key} = {value!r} is not {what}")
+        if k == "loss" and not 0.0 <= p["eta"] <= 1.0:
+            raise ArgumentError("loss requires eta in [0, 1]")
+        if k == "phase_diffusion" and not p["delta"] >= 0:
+            raise ArgumentError("phase diffusion requires delta >= 0")
 
     @property
     def is_gaussian(self) -> bool:
         """True for the kinds that map every Gaussian state to a Gaussian state."""
-        return self.kind in ("loss", "gaussian_unitary")
+        return self.kind not in ("phase_diffusion", "kerr")
 
     @staticmethod
     def loss(eta: float) -> "ChannelSpec":
@@ -72,10 +92,6 @@ class ChannelSpec:
     @staticmethod
     def kerr(gamma: float) -> "ChannelSpec":
         return ChannelSpec("kerr", {"gamma": float(gamma)})
-
-    @staticmethod
-    def gaussian_unitary(*generator) -> "ChannelSpec":
-        return ChannelSpec("gaussian_unitary", {"generator": tuple(generator)})
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +122,13 @@ def loss_transition_matrix(eta: float, dim: int) -> np.ndarray:
     return t
 
 
-def loss(rho: DensityMatrix, eta: float) -> DensityMatrix:
+def loss(state: State, eta: float) -> DensityMatrix:
     """Zero-temperature damping: rho -> sum_m V_m rho V_m^dag at fixed eta = e^{-gamma t}.
 
     The Kraus sum is finite in truncated space, so the map is exact within
     truncation and trace-preserving by construction.
     """
+    rho = as_density(state)
     if rho.modes != 1:
         raise ArgumentError("loss is a single-mode channel")
     if not 0.0 <= eta <= 1.0:
@@ -132,30 +149,28 @@ def loss(rho: DensityMatrix, eta: float) -> DensityMatrix:
 # phase diffusion and Kerr
 # ---------------------------------------------------------------------------
 
-def phase_diffusion(rho: DensityMatrix, delta: float) -> DensityMatrix:
+def phase_diffusion(state: State, delta: float) -> DensityMatrix:
     """rho_nm -> exp(-Delta^2 (n-m)^2) rho_nm; diagonals (and energy) untouched."""
+    rho = as_density(state)
     if rho.modes != 1:
         raise ArgumentError("phase diffusion is a single-mode channel")
-    if delta < 0:
+    if not delta >= 0:
         raise ArgumentError("delta must be >= 0")
     n = np.arange(rho.cutoff)
     kernel = np.exp(-(delta ** 2) * np.subtract.outer(n, n) ** 2)
     return DensityMatrix(1, rho.cutoff, rho.matrix * kernel, leakage=rho.leakage)
 
 
-def kerr(psi: FockStateVector, gamma: float) -> FockStateVector:
-    """Self-Kerr unitary exp(-i gamma (a^dag a)^2) on a pure single-mode state."""
-    if psi.modes != 1:
-        raise ArgumentError("kerr acts on single-mode pure states")
-    n = np.arange(psi.cutoff)
-    return FockStateVector(1, psi.cutoff, psi.amplitudes * np.exp(-1j * gamma * n ** 2))
-
-
-def _kerr_density(rho: DensityMatrix, gamma: float) -> DensityMatrix:
-    n = np.arange(rho.cutoff)
-    u = np.exp(-1j * gamma * n ** 2)
-    return DensityMatrix(1, rho.cutoff, (u[:, None] * rho.matrix) * u.conj()[None, :],
-                         leakage=rho.leakage)
+def kerr(state: State, gamma: float) -> State:
+    """Self-Kerr unitary exp(-i gamma (a^dag a)^2) on a single-mode state."""
+    if state.modes != 1:
+        raise ArgumentError("kerr is a single-mode channel")
+    d = state.cutoff
+    u = np.exp(-1j * gamma * np.arange(d) ** 2)
+    if isinstance(state, FockStateVector):
+        return FockStateVector(1, d, state.amplitudes * u, leakage=state.leakage)
+    return DensityMatrix(1, d, (u[:, None] * state.matrix) * u.conj()[None, :],
+                         leakage=state.leakage)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +183,7 @@ def _apply_local_unitary(state: State, act, modes: tuple[int, ...], name: str) -
     `act(t, axes, conj)` applies the unitary's cutoff-sized block (its complex
     conjugate if `conj`) to the given axes of a state tensor.  The mass pushed
     past the cutoff is the leakage: 1 - ||psi||^2 for a vector, 1 - tr for a
-    density matrix, which also carries it forward in `leakage`.
+    density matrix, carried forward in the result's `leakage`.
     """
     m, d = state.modes, state.cutoff
     if len(set(modes)) != len(modes) or not all(0 <= k < m for k in modes):
@@ -186,7 +201,7 @@ def _apply_local_unitary(state: State, act, modes: tuple[int, ...], name: str) -
         raise TruncationError(
             f"{name}: leakage {leak:.3e} beyond leak_max; increase the cutoff")
     if isinstance(state, FockStateVector):
-        return FockStateVector(m, d, t.ravel() / math.sqrt(kept))
+        return FockStateVector(m, d, t.ravel() / math.sqrt(kept), leakage=state.leakage + leak)
     t = t / kept
     return DensityMatrix(m, d, 0.5 * (t + t.conj().T), leakage=state.leakage + leak)
 
@@ -339,35 +354,7 @@ def beam_split(state: State, theta: float = math.pi / 4,
         tuple(modes), f"beamsplit({theta})")
 
 
-def gaussian_unitary(state: State, generator: tuple) -> State:
-    """Dispatch ('displace', alpha[, mode]) | ('squeeze', r, phi[, mode]) |
-    ('beamsplit', theta, (m0, m1))."""
-    kind = generator[0]
-    if kind == "displace":
-        alpha = complex(generator[1])
-        mode = int(generator[2]) if len(generator) > 2 else 0
-        return displace(state, alpha, mode)
-    if kind == "squeeze":
-        r = float(generator[1])
-        phi = float(generator[2]) if len(generator) > 2 else 0.0
-        mode = int(generator[3]) if len(generator) > 3 else 0
-        return squeeze(state, r, phi, mode)
-    if kind == "beamsplit":
-        theta = float(generator[1])
-        modes = tuple(generator[2]) if len(generator) > 2 else (0, 1)
-        return beam_split(state, theta, modes)
-    raise ArgumentError(f"unknown Gaussian-unitary generator {kind!r}")
-
-
 def apply_channel(state: State, spec: ChannelSpec) -> State:
-    if spec.kind == "loss":
-        return loss(as_density(state), spec.params["eta"])
-    if spec.kind == "phase_diffusion":
-        return phase_diffusion(as_density(state), spec.params["delta"])
-    if spec.kind == "kerr":
-        if isinstance(state, FockStateVector):
-            return kerr(state, spec.params["gamma"])
-        return _kerr_density(state, spec.params["gamma"])
-    if spec.kind == "gaussian_unitary":
-        return gaussian_unitary(state, spec.params["generator"])
-    raise ArgumentError(f"unknown channel kind {spec.kind!r}")
+    """spec's operation applied to state.  The operation is looked up by name
+    at each call, so a wrapper put in its place on this module sees the call."""
+    return globals()[_OPERATIONS[spec.kind]](state, **spec.params)

@@ -122,9 +122,13 @@ def _state_from_json(text: str):
     raise ArgumentError("state JSON length matches neither a vector nor a matrix")
 
 
+CHANNEL_SYNTAX = ("loss:ETA (0 <= ETA <= 1) | phasediff:DELTA (DELTA >= 0) | kerr:GAMMA "
+                  "| displace:ALPHA (complex) | squeeze:R[,PHI] | beamsplit[:THETA[,M0,M1]] "
+                  "(THETA defaults to pi/4, modes M0, M1 to 0, 1)")
+
+
 def parse_channel(spec: str) -> ChannelSpec:
-    """loss:ETA | phasediff:DELTA | kerr:GAMMA | displace:ALPHA | squeeze:R[,PHI]
-    | beamsplit:THETA[,M0,M1]"""
+    """A ChannelSpec from the CLI syntax CHANNEL_SYNTAX."""
     name, _, rest = spec.partition(":")
     args = rest.split(",") if rest else []
     try:
@@ -135,14 +139,14 @@ def parse_channel(spec: str) -> ChannelSpec:
         if name == "kerr":
             return ChannelSpec.kerr(finite_float(args[0]))
         if name == "displace":
-            return ChannelSpec.gaussian_unitary("displace", _parse_complex(args[0]))
+            return ChannelSpec("displace", {"alpha": _parse_complex(args[0])})
         if name == "squeeze":
             phi = finite_float(args[1]) if len(args) > 1 else 0.0
-            return ChannelSpec.gaussian_unitary("squeeze", finite_float(args[0]), phi)
+            return ChannelSpec("squeeze", {"r": finite_float(args[0]), "phi": phi})
         if name == "beamsplit":
             theta = finite_float(args[0]) if args else math.pi / 4
-            ms = (int(args[1]), int(args[2])) if len(args) > 2 else (0, 1)
-            return ChannelSpec.gaussian_unitary("beamsplit", theta, ms)
+            modes = tuple(int(a) for a in args[1:]) or (0, 1)
+            return ChannelSpec("beamsplit", {"theta": theta, "modes": modes})
     except (IndexError, ValueError) as exc:
         raise ArgumentError(f"malformed channel spec {spec!r}: {exc}") from None
     raise ArgumentError(f"unknown channel {name!r}")
@@ -411,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("channel", help="apply a channel to a state", parents=[common])
     sp.add_argument("apply", choices=["apply"])
-    sp.add_argument("--channel", required=True)
+    sp.add_argument("--channel", required=True, help=CHANNEL_SYNTAX)
     sp.add_argument("--state", required=True)
     sp.set_defaults(fn=cmd_channel)
 

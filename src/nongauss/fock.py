@@ -70,11 +70,15 @@ def _check_dense_dim(dim: int) -> None:
 
 @dataclass(frozen=True)
 class FockStateVector:
-    """Pure n-mode state over the truncated Fock basis."""
+    """Pure n-mode state over the truncated Fock basis.
+
+    ``leakage`` is the norm mass lost to truncation, as for DensityMatrix.
+    """
 
     modes: int
     cutoff: int
     amplitudes: np.ndarray
+    leakage: float = 0.0
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
@@ -89,6 +93,8 @@ class FockStateVector:
         if not abs(nrm - 1.0) <= tolerances().norm:   # NaN fails every check
             raise NumericalValidityError(
                 f"state vector norm {nrm} deviates from 1 beyond tolerance")
+        if not self.leakage >= 0:
+            raise ArgumentError("leakage must be non-negative")
 
     @property
     def dim(self) -> int:
@@ -108,20 +114,22 @@ class FockStateVector:
     def density(self) -> "DensityMatrix":
         _check_dense_dim(self.dim)
         return DensityMatrix(self.modes, self.cutoff,
-                             np.outer(self.amplitudes, self.amplitudes.conj()))
+                             np.outer(self.amplitudes, self.amplitudes.conj()), self.leakage)
 
     def to_json(self) -> str:
         return json.dumps({
             "modes": self.modes, "cutoff": self.cutoff,
             "re": self.amplitudes.real.tolist(),
             "im": self.amplitudes.imag.tolist(),
+            "leakage": self.leakage,
         })
 
     @staticmethod
     def from_json(text: str) -> "FockStateVector":
         obj = json.loads(text)
         amps = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-        return FockStateVector(int(obj["modes"]), int(obj["cutoff"]), amps)
+        return FockStateVector(int(obj["modes"]), int(obj["cutoff"]), amps,
+                               float(obj.get("leakage", 0.0)))
 
 
 @dataclass(frozen=True)
@@ -232,7 +240,7 @@ def tensor(a: State, b: State) -> State:
     # little-endian: a on the fast index -> kron(b, a)
     if isinstance(a, FockStateVector) and isinstance(b, FockStateVector):
         return FockStateVector(a.modes + b.modes, a.cutoff,
-                               np.kron(b.amplitudes, a.amplitudes))
+                               np.kron(b.amplitudes, a.amplitudes), a.leakage + b.leakage)
     a, b = as_density(a), as_density(b)
     _check_dense_dim(a.dim * b.dim)
     return DensityMatrix(a.modes + b.modes, a.cutoff,

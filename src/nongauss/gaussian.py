@@ -144,7 +144,7 @@ def moments(state: State) -> GaussianData:
     if state.modes > 2:
         raise ArgumentError("moments are implemented for 1- and 2-mode states")
     tol = tolerances()
-    if isinstance(state, DensityMatrix) and state.leakage > tol.leak_max:
+    if state.leakage > tol.leak_max:
         raise TruncationError(
             f"state leakage {state.leakage:.3e} exceeds leak_max {tol.leak_max:.1e}; "
             "moments of a leaking state are untrustworthy")

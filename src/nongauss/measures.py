@@ -49,8 +49,7 @@ def delta_a(rho: State) -> MeasureReport:
     value = (mu_rho + mu_tau - 2.0 * kappa) / (2.0 * mu_rho)
     if -_CLAMP < value < 0.0:
         value = 0.0
-    leak = deficit + (rho.leakage if isinstance(rho, DensityMatrix) else 0.0)
-    return MeasureReport(value, {"leakage": leak, "cutoff_used": rho.cutoff,
+    return MeasureReport(value, {"leakage": deficit + rho.leakage, "cutoff_used": rho.cutoff,
                                  "clamped_eigenvalue_mass": 0.0})
 
 
@@ -73,8 +72,7 @@ def _delta_b_from_moments(rho: State, g: GaussianData) -> MeasureReport:
     value = s_tau - s_rho
     if -_CLAMP < value < 0.0:
         value = 0.0
-    leak = rho.leakage if isinstance(rho, DensityMatrix) else 0.0
-    return MeasureReport(value, {"leakage": leak, "cutoff_used": rho.cutoff,
+    return MeasureReport(value, {"leakage": rho.leakage, "cutoff_used": rho.cutoff,
                                  "clamped_eigenvalue_mass": clamped})
 
 
@@ -187,8 +185,7 @@ def delta_c(rho: State, grid: QuadratureGrid | None = None) -> MeasureReport:
         raise NumericalValidityError(
             f"Husimi quadrature residual {resid:.2e} > 1e-4: enlarge the grid")
     value = hw_tau - hw_rho
-    leak = rho.leakage if isinstance(rho, DensityMatrix) else 0.0
-    return MeasureReport(value, {"leakage": leak, "cutoff_used": rho.cutoff,
+    return MeasureReport(value, {"leakage": rho.leakage, "cutoff_used": rho.cutoff,
                                  "quadrature_residual": resid,
                                  "grid_half_width": grid.half_width,
                                  "grid_spacing": grid.spacing})
@@ -245,7 +242,7 @@ def ng_of_map(channel: ChannelSpec, energy_cap: float = 4.0, cutoff: int = 30,
     state, so its value is exactly 0, reported with no evaluations and the
     vacuum as the probe.
     """
-    if channel.kind == "gaussian_unitary" and channel.params["generator"][0] == "beamsplit":
+    if channel.kind == "beamsplit":
         raise ArgumentError("ng_of_map probes one mode; a beam splitter acts on two")
     if channel.is_gaussian:
         return MeasureReport(0.0, {"evaluations": 0.0, "cutoff_used": cutoff,

@@ -6,7 +6,7 @@ from nongauss import (ArgumentError, PhotodetectionPOVM, delta_b,
                       epsilon_d, epsilon_e, histogram_to_distribution, loss)
 from nongauss.channels import phase_diffusion
 from nongauss.states import (cat, coherent, diagonal_mixture, fock,
-                             fock_superposition, thermal)
+                             fock_superposition, squeezed_vacuum, thermal)
 
 
 def test_povm_completeness():
@@ -119,3 +119,12 @@ def test_histogram_entry_point():
         histogram_to_distribution([])
     with pytest.raises(ArgumentError):
         histogram_to_distribution([(0, -3)])
+
+
+def test_thermal_reference_check_reads_both_moments():
+    # squeezed vacuum: <a> = 0 and |<a^2>| = sinh(r) cosh(r) = 0.318 at r = 0.3
+    with pytest.raises(ArgumentError, match=r"\|<a>\| = 0\.00e\+00, \|<a\^2>\| = 3\.18e-01"):
+        epsilon_b(squeezed_vacuum(0.3, 40))
+    # coherent: <a> = alpha, <a^2> = alpha^2
+    with pytest.raises(ArgumentError, match=r"\|<a>\| = 5\.00e-01, \|<a\^2>\| = 2\.50e-01"):
+        epsilon_c(coherent(0.5, 40), 0.7)

@@ -7,7 +7,7 @@ from scipy.special import hyp2f1
 
 from nongauss import (ArgumentError, ChannelSpec, DensityMatrix, FockStateVector,
                       TruncationError, apply_channel, beam_split, delta_a, delta_b,
-                      displace, kerr, loss, phase_diffusion, squeeze)
+                      displace, kerr, loss, phase_diffusion, squeeze, tensor)
 from nongauss.channels import _bs_blocks, loss_transition_matrix
 from nongauss.gaussian import displacement_matrix, squeeze_matrix
 from nongauss.states import coherent, fock, thermal, vacuum
@@ -299,7 +299,84 @@ def test_apply_channel_dispatch():
     assert isinstance(apply_channel(rho, ChannelSpec.phase_diffusion(0.2)), DensityMatrix)
     out = apply_channel(fock(1, 20), ChannelSpec.kerr(0.1))
     assert isinstance(out, FockStateVector)
-    out = apply_channel(rho, ChannelSpec.gaussian_unitary("displace", 0.2))
+    out = apply_channel(rho, ChannelSpec("displace", {"alpha": 0.2}))
     assert isinstance(out, DensityMatrix)
     with pytest.raises(ArgumentError):
         ChannelSpec("nonsense", {})
+
+
+@pytest.mark.parametrize("kind, params, match", [
+    ("shear", {"r": 0.4}, "unknown channel kind"),
+    ("gaussian_unitary", {"generator": ("squeeze",)}, "unknown channel kind"),
+    ("squeeze", {}, "missing a required argument"),
+    ("squeeze", {"phi": 0.3}, "missing a required argument"),
+    ("loss", {"eta": 0.5, "gamma": 0.1}, "unexpected keyword"),
+    ("kerr", {"gamma": float("nan")}, "not a finite real number"),
+    ("squeeze", {"r": float("inf")}, "not a finite real number"),
+    ("displace", {"alpha": complex(0.2, float("nan"))}, "not a finite complex number"),
+    ("kerr", {"gamma": "0.1"}, "not a finite real number"),
+    ("squeeze", {"r": 0.4, "mode": 0.5}, "not an integer"),
+    ("beamsplit", {"theta": 0.3, "modes": (0,)}, "pair of integers"),
+    ("beamsplit", {"theta": 0.3, "modes": (0, 1.0)}, "pair of integers"),
+    ("loss", {"eta": 1.5}, r"eta in \[0, 1\]"),
+    ("loss", {"eta": -0.1}, r"eta in \[0, 1\]"),
+    ("phase_diffusion", {"delta": -0.2}, "delta >= 0"),
+])
+def test_channel_spec_rejects_bad_parameters(kind, params, match):
+    with pytest.raises(ArgumentError, match=match):
+        ChannelSpec(kind, params)
+
+
+def _spec_cases():
+    one, two = coherent(0.4, 12), tensor(fock(1, 8), coherent(0.3, 8))
+    return [(ChannelSpec.loss(0.6), one), (ChannelSpec.phase_diffusion(0.3), one),
+            (ChannelSpec.kerr(0.2), one),
+            (ChannelSpec("displace", {"alpha": 0.3 - 0.2j}), one),
+            (ChannelSpec("displace", {"alpha": 0.2j, "mode": 1}), two),
+            (ChannelSpec("squeeze", {"r": 0.1}), one),
+            (ChannelSpec("squeeze", {"r": 0.1, "phi": 0.7, "mode": 1}), two),
+            (ChannelSpec("beamsplit", {}), two),
+            (ChannelSpec("beamsplit", {"theta": 0.4, "modes": (1, 0)}), two)]
+
+
+def test_apply_channel_is_the_named_operation():
+    ops = {"loss": loss, "phase_diffusion": phase_diffusion, "kerr": kerr,
+           "displace": displace, "squeeze": squeeze, "beamsplit": beam_split}
+    for spec, psi in _spec_cases():
+        for state in (psi, psi.density()):
+            got = apply_channel(state, spec)
+            want = ops[spec.kind](state, **spec.params)
+            assert type(got) is type(want), spec
+            if isinstance(got, FockStateVector):
+                assert np.array_equal(got.amplitudes, want.amplitudes), spec
+            else:
+                assert np.array_equal(got.matrix, want.matrix), spec
+            assert got.leakage == want.leakage, spec
+
+
+def test_gaussian_kinds_are_the_gaussian_specs():
+    assert [spec.kind for spec, _ in _spec_cases() if not spec.is_gaussian] == \
+        ["phase_diffusion", "kerr"]
+
+
+def test_maps_take_either_carrier():
+    psi = fock(2, 10)
+    for op, arg in ((loss, 0.5), (phase_diffusion, 0.5)):
+        assert np.array_equal(op(psi, arg).matrix, op(psi.density(), arg).matrix)
+    assert np.max(np.abs(kerr(psi, 0.3).density().matrix
+                         - kerr(psi.density(), 0.3).matrix)) <= 1e-15
+    two = tensor(fock(1, 5), fock(0, 5))
+    for state in (two, two.density()):
+        with pytest.raises(ArgumentError, match="single-mode"):
+            kerr(state, 0.1)
+
+
+def test_vectors_carry_their_leakage():
+    psi = fock(1, 30)
+    vec, rho = squeeze(psi, 0.6), squeeze(psi.density(), 0.6)
+    assert rho.leakage > 1e-9
+    assert abs(vec.leakage - rho.leakage) <= 1e-15
+    assert vec.density().leakage == vec.leakage
+    assert kerr(vec, 0.1).leakage == vec.leakage
+    assert delta_b(vec).diagnostics["leakage"] == vec.leakage
+    assert squeeze(vec, 0.1).leakage > vec.leakage

@@ -29,7 +29,7 @@ def test_state_spec_parsing():
 def test_channel_spec_parsing():
     assert parse_channel("loss:0.5").kind == "loss"
     assert parse_channel("phasediff:0.2").kind == "phase_diffusion"
-    assert parse_channel("squeeze:0.5,0.3").params["generator"][0] == "squeeze"
+    assert parse_channel("squeeze:0.5,0.3").kind == "squeeze"
     with pytest.raises(ArgumentError):
         parse_channel("loss:1.5")
 

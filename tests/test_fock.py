@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from nongauss import (ArgumentError, DensityMatrix, FockStateVector,
-                      NumericalValidityError, overlap, partial_trace,
-                      partial_transpose, purity, random_density_matrix, tensor,
-                      von_neumann_entropy)
+                      NumericalValidityError, TruncationError, moments, overlap,
+                      partial_trace, partial_transpose, purity,
+                      random_density_matrix, tensor, von_neumann_entropy)
 from nongauss.states import fock, thermal, vacuum
 
 
@@ -203,3 +203,15 @@ def test_json_round_trip():
     assert np.array_equal(back.matrix, rho.matrix)
     obj = json.loads(rho.to_json())
     assert set(obj) == {"modes", "cutoff", "re", "im", "leakage"}
+
+
+def test_vector_leakage_is_carried():
+    with pytest.raises(ArgumentError, match="leakage"):
+        FockStateVector(1, 3, [1, 0, 0], leakage=-1e-3)
+    psi = FockStateVector(1, 3, [0, 1, 0], leakage=2e-9)
+    back = FockStateVector.from_json(psi.to_json())
+    assert back.leakage == psi.leakage and np.array_equal(back.amplitudes, psi.amplitudes)
+    assert psi.density().leakage == psi.leakage
+    assert tensor(psi, FockStateVector(1, 3, [1, 0, 0], leakage=1e-9)).leakage == 2e-9 + 1e-9
+    with pytest.raises(TruncationError, match="leak_max"):
+        moments(FockStateVector(1, 3, [0, 1, 0], leakage=1e-3))

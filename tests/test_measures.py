@@ -199,15 +199,15 @@ def test_ng_of_map():
 
 def test_gaussian_channels_have_zero_map_non_gaussianity():
     # Gaussian probes stay Gaussian: exactly 0, with no probe evaluated
-    for spec in (ChannelSpec.loss(0.6), ChannelSpec.gaussian_unitary("squeeze", 0.4, 0.3)):
+    for spec in (ChannelSpec.loss(0.6), ChannelSpec("squeeze", {"r": 0.4, "phi": 0.3})):
         rep = ng_of_map(spec, energy_cap=2.0, cutoff=25, budget=100)
         assert rep.value == 0.0
         assert rep.diagnostics["evaluations"] == 0
         assert all(rep.diagnostics[k] == 0.0 for k in rep.diagnostics if k.startswith("probe_"))
-    with pytest.raises(ArgumentError, match="generator tuple"):
-        ChannelSpec.gaussian_unitary("shear", 0.4)   # ng_of_map would never apply it
+    with pytest.raises(ArgumentError, match="unknown channel kind"):
+        ChannelSpec("shear", {"r": 0.4})   # ng_of_map would never apply it
     with pytest.raises(ArgumentError, match="two"):
-        ng_of_map(ChannelSpec.gaussian_unitary("beamsplit", 0.3, (0, 1)))
+        ng_of_map(ChannelSpec("beamsplit", {"theta": 0.3, "modes": (0, 1)}))
 
 
 def test_phase_diffusion_poisson_limit():
