@@ -270,6 +270,8 @@ def displace(state: State, alpha: complex, mode: int = 0) -> State:
     columns, ||G||_1 ~ 2|alpha| sqrt(d_int), each 2 d_int multiply-adds per
     column; an m-mode vector has d^(m-1) columns, a density 2 d^(2m-1).
     """
+    if not np.isfinite(alpha):
+        raise ArgumentError(f"displace needs a finite alpha, got {alpha!r}")
     d = state.cutoff
     a = abs(alpha)
     d_int = d + max(20, int(math.ceil(2 * a * a + 6 * a * math.sqrt(d))))
@@ -288,6 +290,8 @@ def squeeze(state: State, r: float, phi: float = 0.0, mode: int = 0) -> State:
     columns, a density 2 d^(2m-1).  A vector thus costs O(r d_int^2), where
     the dense unitary cost O(d_int^3), and a density d^(2m-1) times more.
     """
+    if not (np.isfinite(r) and np.isfinite(phi)):
+        raise ArgumentError(f"squeeze needs finite r and phi, got r = {r!r}, phi = {phi!r}")
     d = state.cutoff
     d_int = int(math.ceil(d * math.cosh(2 * r))) + 20
     return _apply_local_unitary(state, _generator_action(squeeze_generator(r, phi, d_int)),

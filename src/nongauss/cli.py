@@ -131,6 +131,13 @@ def parse_channel(spec: str) -> ChannelSpec:
     """A ChannelSpec from the CLI syntax CHANNEL_SYNTAX."""
     name, _, rest = spec.partition(":")
     args = rest.split(",") if rest else []
+    most = {"loss": 1, "phasediff": 1, "phase_diffusion": 1, "kerr": 1, "displace": 1,
+            "squeeze": 2, "beamsplit": 3}   # arguments each channel takes at most
+    if name not in most:
+        raise ArgumentError(f"unknown channel {name!r}")
+    if len(args) > most[name]:
+        raise ArgumentError(f"malformed channel spec {spec!r}: {name} takes at most "
+                            f"{most[name]} argument(s), got {len(args)}")
     try:
         if name == "loss":
             return ChannelSpec.loss(finite_float(args[0]))
@@ -143,13 +150,11 @@ def parse_channel(spec: str) -> ChannelSpec:
         if name == "squeeze":
             phi = finite_float(args[1]) if len(args) > 1 else 0.0
             return ChannelSpec("squeeze", {"r": finite_float(args[0]), "phi": phi})
-        if name == "beamsplit":
-            theta = finite_float(args[0]) if args else math.pi / 4
-            modes = tuple(int(a) for a in args[1:]) or (0, 1)
-            return ChannelSpec("beamsplit", {"theta": theta, "modes": modes})
+        theta = finite_float(args[0]) if args else math.pi / 4
+        modes = tuple(int(a) for a in args[1:]) or (0, 1)
+        return ChannelSpec("beamsplit", {"theta": theta, "modes": modes})
     except (IndexError, ValueError) as exc:
         raise ArgumentError(f"malformed channel spec {spec!r}: {exc}") from None
-    raise ArgumentError(f"unknown channel {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -348,18 +348,46 @@ def gaussian_fock_block(params: SingleModeGaussianParams,
                         cutoff: int) -> tuple[np.ndarray, float]:
     """Top-left cutoff x cutoff block of D S nu S^dag D^dag, not renormalized.
 
-    Built at an enlarged internal cutoff so truncated-generator boundary
-    artifacts stay away from the returned block.  Returns (block, trace deficit);
-    the block alone is what overlaps against states supported below the cutoff
-    need, however much of the Gaussian's own mass lies above it.
+    Exact at the cutoff, with no enlarged internal cutoff and no matrix
+    exponential: the entries follow from the Hermite recursion of the state's
+    generating function (Quesada, J. Chem. Phys. 150, 164113 (2019); Miatto &
+    Quesada, Quantum 4, 366 (2020)).  With y = (z*, w),
+    (z|tau|w) = exp(y^T A y / 2 + gamma^T y + c), where Q = sigma_c + I/2 for the
+    complex CM sigma_c in the (a, a^dag) basis, P = [[0, 1], [1, 0]],
+    M = Q^-1 P, A = P - M, y0 = (alpha*, alpha), gamma = M y0 and
+    c = -y0^T M y0 / 2 - ln(det Q) / 2.  Then tau_00 = e^c and
+    sqrt(k_i + 1) tau_{k + e_i} = gamma_i tau_k + sum_j A_ij sqrt(k_j) tau_{k - e_j}.
+    Returns (block, trace deficit); the block alone is what overlaps against
+    states supported below the cutoff need, however much of the Gaussian's own
+    mass lies above it.  Raises NumericalValidityError where tau_00 = e^c is
+    not a normal double (|alpha|^2 beyond ~700), rather than return zeros.
     """
-    d_int = cutoff + max(20, int(math.ceil(4 * params.energy())))
-    nu = np.diag(thermal_weights(params.n_th, d_int)).astype(complex)
-    u = displacement_matrix(params.alpha, d_int)
-    if params.r > 0:
-        u = u @ squeeze_matrix(params.r, params.phi, d_int)
-    tau = u @ nu @ u.conj().T
-    tau = tau[:cutoff, :cutoff]
+    s = _cm_from_params(params)
+    diag = 0.5 * (s[0, 0] + s[1, 1]) + 0.5                    # Q = [[diag, off], [off*, diag]]
+    off = 0.5 * complex(s[0, 0] - s[1, 1], 2.0 * s[0, 1])
+    det = diag * diag - abs(off) ** 2
+    m = np.array([[-off, diag], [diag, -off.conjugate()]]) / det   # Q^-1 P, symmetric
+    a = np.array([[0.0, 1.0], [1.0, 0.0]]) - m
+    y0 = np.array([params.alpha.conjugate(), params.alpha])
+    gamma = m @ y0
+    c = -0.5 * float(np.real(y0 @ gamma)) - 0.5 * math.log(det)
+    tau00 = math.exp(c)
+    if not tau00 >= np.finfo(float).tiny:
+        raise NumericalValidityError(
+            f"vacuum element e^{c:.1f} of the Gaussian {params} is not a normal double")
+
+    root = np.sqrt(np.arange(cutoff))
+    tau = np.zeros((cutoff, cutoff), dtype=complex)
+    tau[0, 0] = tau00
+    for n in range(1, cutoff):
+        prev2 = a[1, 1] * root[n - 1] * tau[0, n - 2] if n >= 2 else 0.0
+        tau[0, n] = (gamma[1] * tau[0, n - 1] + prev2) / root[n]
+    for k in range(1, cutoff):
+        row = gamma[0] * tau[k - 1]
+        if k >= 2:
+            row += a[0, 0] * root[k - 1] * tau[k - 2]
+        row[1:] += a[0, 1] * root[1:] * tau[k - 1, :-1]
+        tau[k] = row / root[k]
     tau = 0.5 * (tau + tau.conj().T)
     deficit = max(1.0 - float(np.real(np.trace(tau))), 0.0)
     return tau, deficit

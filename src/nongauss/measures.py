@@ -15,9 +15,9 @@ from .errors import ArgumentError, NumericalValidityError
 from .fock import (DensityMatrix, FockStateVector, MeasureReport, State,
                    as_density, _entropy_of_spectrum, purity,
                    random_density_matrix)
-from .gaussian import (GaussianData, fit_single_mode_gaussian, gaussian_entropy,
-                       gaussian_fock_block, moments, symplectic_eigenvalues,
-                       synthesize_single_mode_gaussian, SingleModeGaussianParams)
+from .gaussian import (GaussianData, displacement_matrix, fit_single_mode_gaussian,
+                       gaussian_entropy, gaussian_fock_block, moments, squeeze_matrix,
+                       symplectic_eigenvalues, thermal_weights, SingleModeGaussianParams)
 from .states import _coherent_amplitudes
 
 __all__ = [
@@ -262,6 +262,27 @@ def ng_of_map(channel: ChannelSpec, energy_cap: float = 4.0, cutoff: int = 30,
                           + 8 * amag * math.sqrt(params.energy() + 1.0))) + 20
         return max(cutoff, d)
 
+    def probe_state(params: SingleModeGaussianParams) -> DensityMatrix:
+        """The probe as the dense D S nu S^dag D^dag at an enlarged internal
+        cutoff, not gaussian_fock_block's exact block.
+
+        The map-search references pin the Nelder-Mead path of phase_diffusion,
+        where the squeezing phase is redundant and rounding breaks the tie: the
+        exact block moves probe_phi from 1.4293 to 6.2827.  ROADMAP item 2
+        deletes this builder when it regenerates those references.
+        """
+        d = probe_cutoff(params)
+        d_int = d + max(20, int(math.ceil(4 * params.energy())))
+        nu = np.diag(thermal_weights(params.n_th, d_int)).astype(complex)
+        u = displacement_matrix(params.alpha, d_int)
+        if params.r > 0:
+            u = u @ squeeze_matrix(params.r, params.phi, d_int)
+        tau = u @ nu @ u.conj().T
+        tau = tau[:d, :d]
+        tau = 0.5 * (tau + tau.conj().T)
+        deficit = max(1.0 - float(np.real(np.trace(tau))), 0.0)
+        return DensityMatrix(1, d, tau / (1.0 - deficit), leakage=deficit)
+
     def probe_value(x) -> float:
         nonlocal evals
         n_th, r, phi, amag, aarg = x
@@ -270,7 +291,7 @@ def ng_of_map(channel: ChannelSpec, energy_cap: float = 4.0, cutoff: int = 30,
         params = SingleModeGaussianParams(amag * np.exp(1j * aarg), r, phi % (2 * math.pi), n_th)
         if params.energy() > energy_cap + 1e-12:
             return -1.0
-        probe = synthesize_single_mode_gaussian(params, probe_cutoff(params))
+        probe = probe_state(params)
         evals += 1
         out = apply_channel(probe, channel)
         return delta_b(out).value

@@ -339,6 +339,15 @@ def _spec_cases():
             (ChannelSpec("beamsplit", {"theta": 0.4, "modes": (1, 0)}), two)]
 
 
+@pytest.mark.parametrize("op, args", [
+    (squeeze, (float("nan"),)), (squeeze, (0.3, float("inf"))),
+    (displace, (complex("nan"),)), (displace, (complex(0.0, float("inf")),)),
+], ids=["squeeze-r-nan", "squeeze-phi-inf", "displace-nan", "displace-inf"])
+def test_unitaries_reject_non_finite_parameters(op, args):
+    with pytest.raises(ArgumentError, match="finite"):
+        op(fock(1, 20), *args)
+
+
 def test_apply_channel_is_the_named_operation():
     ops = {"loss": loss, "phase_diffusion": phase_diffusion, "kerr": kerr,
            "displace": displace, "squeeze": squeeze, "beamsplit": beam_split}

@@ -10,10 +10,12 @@ from nongauss import (ArgumentError, DensityMatrix, GaussianData,
                       symplectic_eigenvalues, von_neumann_entropy)
 from nongauss.channels import displace, squeeze
 from nongauss.fock import destroy
-from nongauss.gaussian import (displacement_generator, displacement_matrix, marginal,
-                               squeeze_generator, squeeze_matrix,
-                               synthesize_single_mode_gaussian, SingleModeGaussianParams)
-from nongauss.states import cat, coherent, fock, squeezed_vacuum, thermal, vacuum
+from nongauss.gaussian import (displacement_generator, displacement_matrix,
+                               gaussian_fock_block, marginal, squeeze_generator,
+                               squeeze_matrix, synthesize_single_mode_gaussian,
+                               SingleModeGaussianParams)
+from nongauss.states import (_squeezed_vacuum_amplitudes, cat, coherent, fock,
+                             squeezed_vacuum, thermal, vacuum)
 
 
 def test_moments_basics():
@@ -141,6 +143,53 @@ def test_fit_synthesize_idempotent():
     assert abs(refit.phi - params.phi) < 1e-6
     assert abs(refit.n_th - params.n_th) < 1e-6
     assert abs(refit.alpha - params.alpha) < 1e-6
+
+
+def _expm_gaussian_block(p: SingleModeGaussianParams, cutoff: int, dim: int) -> np.ndarray:
+    """D S nu S^dag D^dag from dense exponentials on dim levels, cropped to the cutoff."""
+    a = destroy(dim)
+    ad = a.conj().T
+    zeta = p.r * np.exp(1j * p.phi)
+    u = scipy.linalg.expm(p.alpha * ad - np.conj(p.alpha) * a) @ scipy.linalg.expm(
+        0.5 * (zeta * a @ a - np.conj(zeta) * ad @ ad))
+    k = np.arange(dim)
+    nu = (p.n_th / (1 + p.n_th)) ** k / (1 + p.n_th)
+    return ((u * nu) @ u.conj().T)[:cutoff, :cutoff]
+
+
+def test_fock_block_matches_dense_exponentials():
+    # the recursion is exact at the cutoff; the dense reference needs 3x the levels
+    rng = np.random.default_rng(1008)
+    params = [SingleModeGaussianParams(complex(*rng.uniform(-1.2, 1.2, 2)),
+                                       rng.uniform(0.0, 1.3), rng.uniform(0, 2 * np.pi),
+                                       rng.uniform(0.0, 2.0)) for _ in range(5)]
+    params += [SingleModeGaussianParams(0.3 - 0.5j, 1.25, 2.1, 0.4),
+               SingleModeGaussianParams(0.0, 1.3, 0.0, 0.0),
+               SingleModeGaussianParams(1.1j, 0.0, 0.0, 1.5)]
+    assert any(p.r >= 1.2 for p in params)
+    for p in params:
+        dense = _expm_gaussian_block(p, 100, 300)
+        for cutoff in (30, 100):
+            block, deficit = gaussian_fock_block(p, cutoff)
+            assert np.max(np.abs(block - dense[:cutoff, :cutoff])) <= 1e-12
+            assert abs(np.real(np.trace(block)) + deficit - 1.0) <= 1e-12
+
+
+def test_fock_block_of_strong_squeezing_at_a_small_cutoff():
+    # r = 1.32 at cutoff 30: an internal cutoff of 50 was off by 4.4e-4
+    block, deficit = gaussian_fock_block(SingleModeGaussianParams(0.0, 1.32, 0.0, 0.0), 30)
+    amps = _squeezed_vacuum_amplitudes(1.32, 0.0, 600)
+    assert np.max(np.abs(block - np.outer(amps[:30], amps[:30].conj()))) <= 1e-12
+    assert abs(deficit - np.sum(np.abs(amps[30:]) ** 2)) <= 1e-12
+    assert abs(np.real(np.trace(block)) + deficit - 1.0) <= 1e-12
+
+
+def test_fock_block_refuses_an_underflowing_vacuum_element():
+    # e^{-|alpha|^2} below the smallest normal double: an error, not a zero block
+    with pytest.raises(NumericalValidityError, match="normal double"):
+        gaussian_fock_block(SingleModeGaussianParams(27.0 + 0j, 0.0, 0.0, 0.0), 20)
+    block, _ = gaussian_fock_block(SingleModeGaussianParams(26.0 + 0j, 0.0, 0.0, 0.0), 20)
+    assert np.max(np.abs(block)) > 0
 
 
 def test_reference_gaussian_state():
