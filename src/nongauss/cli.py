@@ -466,7 +466,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    saved = config.tolerances()   # the profile is scoped to this run
     try:
         if getattr(args, "config", None):
             # the file's settings go first, so flags on the command line win
@@ -474,8 +473,8 @@ def main(argv=None) -> int:
         for key, default in _GLOBAL_DEFAULTS.items():
             if not hasattr(args, key):
                 setattr(args, key, default)
-        config.use_profile(args.tolerance_profile)
-        return args.fn(args)
+        with config.using(args.tolerance_profile):   # the profile is scoped to this run
+            return args.fn(args)
     except NonGaussError as exc:
         if getattr(args, "json_errors", False):
             sys.stderr.write(json.dumps({
@@ -484,8 +483,6 @@ def main(argv=None) -> int:
         else:
             sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code
-    finally:
-        config.use_profile(saved)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 
@@ -31,24 +33,38 @@ PROFILES = {
                         tail=1e-8, leak_max=1e-4, ref_moment=1e-4),
 }
 
-_active = PROFILES["default"]
+_active: ContextVar[Tolerances] = ContextVar("tolerances", default=PROFILES["default"])
 
 
 def tolerances() -> Tolerances:
-    """The tolerance profile in force."""
-    return _active
+    """The tolerance profile in force in the current context."""
+    return _active.get()
+
+
+def _resolve(name_or_profile: str | Tolerances) -> Tolerances:
+    if not isinstance(name_or_profile, str):
+        return name_or_profile
+    try:
+        return PROFILES[name_or_profile]
+    except KeyError:
+        raise ValueError(
+            f"unknown tolerance profile {name_or_profile!r}; "
+            f"choose from {sorted(PROFILES)}") from None
 
 
 def use_profile(name_or_profile: str | Tolerances) -> Tolerances:
-    """Install a tolerance profile globally (by name or as an instance)."""
-    global _active
-    if isinstance(name_or_profile, str):
-        try:
-            _active = PROFILES[name_or_profile]
-        except KeyError:
-            raise ValueError(
-                f"unknown tolerance profile {name_or_profile!r}; "
-                f"choose from {sorted(PROFILES)}") from None
-    else:
-        _active = name_or_profile
-    return _active
+    """Install a tolerance profile (by name or as an instance) in the current
+    context: the calling thread, and the contexts copied from it later."""
+    profile = _resolve(name_or_profile)
+    _active.set(profile)
+    return profile
+
+
+@contextmanager
+def using(name_or_profile: str | Tolerances):
+    """Run the body under a tolerance profile, restoring the previous one on exit."""
+    token = _active.set(_resolve(name_or_profile))
+    try:
+        yield _active.get()
+    finally:
+        _active.reset(token)

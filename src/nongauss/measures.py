@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
+from ._blas import serial_blas
 from .channels import ChannelSpec, apply_channel
 from .errors import ArgumentError, NumericalValidityError
 from .fock import (DensityMatrix, FockStateVector, MeasureReport, State,
@@ -26,6 +27,15 @@ __all__ = [
 ]
 
 _CLAMP = 1e-6  # entropy differences of matched states sit at numerical noise level
+
+
+def _nonnegative(name: str, value: float) -> float:
+    """A measure that is >= 0 in exact arithmetic: noise in (-_CLAMP, 0)
+    reads 0, anything lower is a numerical failure."""
+    if value <= -_CLAMP:
+        raise NumericalValidityError(f"{name} = {value:.3e} is negative beyond "
+                                     f"the {_CLAMP:g} noise clamp")
+    return max(value, 0.0)
 
 
 def delta_a(rho: State) -> MeasureReport:
@@ -46,9 +56,7 @@ def delta_a(rho: State) -> MeasureReport:
     mu_tau = float(np.prod(0.5 / symplectic_eigenvalues(g)))  # exact Gaussian purity
     dm = as_density(rho)
     kappa = float(np.real(np.vdot(dm.matrix, block)))
-    value = (mu_rho + mu_tau - 2.0 * kappa) / (2.0 * mu_rho)
-    if -_CLAMP < value < 0.0:
-        value = 0.0
+    value = _nonnegative("delta_A", (mu_rho + mu_tau - 2.0 * kappa) / (2.0 * mu_rho))
     return MeasureReport(value, {"leakage": deficit + rho.leakage, "cutoff_used": rho.cutoff,
                                  "clamped_eigenvalue_mass": 0.0})
 
@@ -69,9 +77,7 @@ def _delta_b_from_moments(rho: State, g: GaussianData) -> MeasureReport:
         s_rho, clamped = 0.0, 0.0
     else:
         s_rho, clamped = _entropy_of_spectrum(rho.eigenvalues())
-    value = s_tau - s_rho
-    if -_CLAMP < value < 0.0:
-        value = 0.0
+    value = _nonnegative("delta_B", s_tau - s_rho)  # Klein: S(tau) >= S(rho)
     return MeasureReport(value, {"leakage": rho.leakage, "cutoff_used": rho.cutoff,
                                  "clamped_eigenvalue_mass": clamped})
 
@@ -231,6 +237,7 @@ def conjecture_a5_sweep(samples: int, cutoffs, seed=0) -> dict:
     return out
 
 
+@serial_blas()
 def ng_of_map(channel: ChannelSpec, energy_cap: float = 4.0, cutoff: int = 30,
               budget: int = 500) -> MeasureReport:
     """Lower bound on the map non-Gaussianity max over Gaussian probes of
@@ -241,6 +248,14 @@ def ng_of_map(channel: ChannelSpec, energy_cap: float = 4.0, cutoff: int = 30,
     Gaussian channel (loss, a Gaussian unitary) maps every probe to a Gaussian
     state, so its value is exactly 0, reported with no evaluations and the
     vacuum as the probe.
+
+    The search runs on one OpenBLAS thread (``_blas.serial_blas``), and the
+    caller's thread counts are restored on return.  Its probes are dense
+    ``expm`` and ``eigvalsh`` calls at 50-200 levels, where a second thread
+    costs more than it gains: on a 2-core machine a complex ``expm`` at
+    n = 130 takes 6-8 ms on one thread against 16 ms on two, and the 336
+    probe syntheses of the benchmark's map search 2.4 s against 8.0 s.  The
+    result then no longer follows the thread count in its last bits.
     """
     if channel.kind == "beamsplit":
         raise ArgumentError("ng_of_map probes one mode; a beam splitter acts on two")

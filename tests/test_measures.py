@@ -186,6 +186,26 @@ def test_conjecture_sweep():
         assert sum(stats["histogram"]) == 151
 
 
+def test_negative_delta_raises_beyond_the_noise_clamp(monkeypatch):
+    from nongauss import measures
+    rho = thermal(0.5, 30)   # Gaussian: both measures read 0
+    entropy, block = measures.gaussian_entropy, measures.gaussian_fock_block
+    # delta_B >= 0 by Klein's inequality: noise below the clamp reads 0, more raises
+    monkeypatch.setattr(measures, "gaussian_entropy", lambda g: entropy(g) - 1e-8)
+    assert delta_b(rho).value == 0.0
+    monkeypatch.setattr(measures, "gaussian_entropy", lambda g: entropy(g) - 1e-3)
+    with pytest.raises(NumericalValidityError, match="delta_B = -1.000e-03"):
+        delta_b(rho)
+    # delta_A is a squared distance: an overlap kappa above the purities raises
+    def inflated_block(params, cutoff):
+        tau, deficit = block(params, cutoff)
+        return 1.01 * tau, deficit
+
+    monkeypatch.setattr(measures, "gaussian_fock_block", inflated_block)
+    with pytest.raises(NumericalValidityError, match="delta_A = -"):
+        delta_a(rho)
+
+
 def test_ng_of_map():
     rep = ng_of_map(ChannelSpec.loss(0.6), energy_cap=2.0, cutoff=25, budget=100)
     assert rep.value <= 1e-6

@@ -2,9 +2,12 @@
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy.special import xlogy
 
-from nongauss import DensityMatrix, beam_split, delta_b, random_density_matrix
+from nongauss import (DensityMatrix, beam_split, delta_a, delta_b, displace, loss,
+                      purity, random_density_matrix, squeeze)
 from nongauss.fock import tensor
+from nongauss.states import fock
 
 D = 8  # per-mode cutoff; the random factors live below D // 2
 
@@ -28,3 +31,57 @@ def test_delta_b_invariant_under_beam_splitter(rho_a, rho_b, theta):
     mixed = beam_split(product, theta)
     assert mixed.leakage < 1e-12
     assert abs(delta_b(mixed).value - delta_b(product).value) <= 1e-6
+
+
+# -- the paper's identities for single-mode states -----------------------------
+
+LOW, CUT = 4, 40   # random states on |0> ... |LOW - 1>, embedded at cutoff CUT
+
+
+def _low_state(rank: int, seed: int) -> DensityMatrix:
+    mat = np.zeros((CUT, CUT), dtype=complex)
+    mat[:LOW, :LOW] = random_density_matrix(1, LOW, rank, seed=seed).matrix
+    return DensityMatrix(1, CUT, mat)
+
+
+def _near_coherent(rho: DensityMatrix, weight: float, alpha: float) -> DensityMatrix:
+    """D(alpha) [(1 - weight)|0><0| + weight rho] D(alpha)^dag: close to a
+    coherent state for small weight, so a map that adds non-Gaussianity shows."""
+    mat = weight * rho.matrix
+    mat[0, 0] += 1.0 - weight
+    return displace(DensityMatrix(1, CUT, mat), alpha)
+
+
+low_states = st.builds(_low_state, st.integers(1, LOW), st.integers(0, 2 ** 32 - 1))
+mixed_states = st.builds(_near_coherent, low_states, st.floats(0.0, 1.0), st.floats(0.0, 1.2))
+property_settings = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@property_settings
+@given(st.integers(0, 6))
+def test_delta_b_of_fock_state_is_h(n):
+    # |n> is pure and its reference Gaussian is thermal with n photons, so
+    # delta_B = h(n + 1/2) = (n + 1) ln(n + 1) - n ln n
+    assert abs(delta_b(fock(n, 30)).value - (xlogy(n + 1, n + 1) - xlogy(n, n))) <= 1e-10
+
+
+@property_settings
+@given(low_states, st.floats(0.0, 0.8), st.floats(-np.pi, np.pi),
+       st.floats(0.0, 0.4), st.floats(-np.pi, np.pi))
+def test_measures_invariant_under_displacement_and_squeezing(rho, amag, aarg, r, phi):
+    moved = squeeze(displace(rho, amag * np.exp(1j * aarg)), r, phi)
+    assert moved.leakage < 1e-8
+    assert abs(delta_a(moved).value - delta_a(rho).value) <= 1e-6
+    assert abs(delta_b(moved).value - delta_b(rho).value) <= 1e-6
+
+
+@property_settings
+@given(mixed_states, st.floats(0.05, 1.0))
+def test_delta_b_does_not_increase_under_loss(rho, eta):
+    assert delta_b(loss(rho, eta)).value <= delta_b(rho).value + 1e-9
+
+
+@property_settings
+@given(mixed_states)
+def test_delta_b_bounds_purity_times_delta_a(rho):
+    assert delta_b(rho).value >= purity(rho) * delta_a(rho).value - 1e-9
