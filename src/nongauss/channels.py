@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .config import tolerances
 from .errors import ArgumentError, TruncationError
-from .fock import DensityMatrix, FockStateVector, State, as_density
+from .fock import DensityMatrix, FockStateVector, State, _log_factorials, as_density
 from .gaussian import displacement_generator, squeeze_generator
 
 __all__ = [
@@ -113,10 +112,11 @@ def loss_transition_matrix(eta: float, dim: int) -> np.ndarray:
     if eta == 0.0:
         t[0, :] = 1.0
         return t
-    ps = np.arange(dim)
+    ps = np.arange(dim, dtype=float)
+    lf = _log_factorials(dim)
     for l in range(dim):
-        pk = ps[l:].astype(float)
-        logw = (gammaln(pk + 1) - gammaln(l + 1) - gammaln(pk - l + 1)
+        pk = ps[l:]
+        logw = (lf[l:] - lf[l] - lf[:dim - l]
                 + (pk - l) * math.log(1.0 - eta) + l * math.log(eta))
         t[l, l:] = np.exp(logw)
     return t

@@ -16,16 +16,15 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import bounds as bounds_mod
 from . import config
 from .channels import ChannelSpec, apply_channel
 from .distillation import (b_protocol_run, browne_state, log_negativity,
                            t_protocol_output)
-from .errors import ArgumentError, NonGaussError
-from .fock import (DensityMatrix, FockStateVector, MeasureReport, as_density, purity,
-                   von_neumann_entropy)
+from .errors import ArgumentError, NonGaussError, TruncationError
+from .fock import (DensityMatrix, FockStateVector, MeasureReport, _log_factorials, as_density,
+                   purity, von_neumann_entropy)
 from .figures import _parallel_map, build_figure
 from .gaussian import moments
 from .measures import QuadratureGrid, delta_a, delta_b, delta_c
@@ -33,6 +32,7 @@ from .states import (PNESSpec, cat, coherent, diagonal_mixture, fock,
                      fock_superposition, pnes, squeezed_vacuum, thermal, vacuum)
 
 DEFAULT_CUTOFF = 40
+_POISSON_SCAN_MAX = 1 << 16  # longest Poisson profile scanned for the tail check
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +88,19 @@ def parse_state(spec: str, cutoff: int):
             return fock_superposition(int(args[0]), int(args[1]), cutoff)
         if name == "poisson":
             lam = finite_float(args[0])
-            n = np.arange(max(4 * cutoff, 256))
-            w = np.exp(n * math.log(lam) - lam - gammaln(n + 1)) if lam > 0 else None
-            if w is None:
+            if lam < 0:
+                raise ArgumentError("mean photon number must be >= 0")
+            if lam == 0:
                 return vacuum(cutoff).density()
+            # scan 12 standard deviations past the mean, so that the tail check
+            # and its minimal-cutoff hint see the whole profile, and normalize
+            # in log space, where no weight underflows to a 0/0
+            levels = max(4 * cutoff, 256, math.ceil(lam + 12 * math.sqrt(lam) + 12))
+            if levels > _POISSON_SCAN_MAX:
+                raise TruncationError(f"poisson({lam}): the photon-number profile "
+                                      f"extends beyond {_POISSON_SCAN_MAX} levels")
+            logw = np.arange(levels) * math.log(lam) - _log_factorials(levels)
+            w = np.exp(logw - logw.max())
             return diagonal_mixture(w / w.sum(), cutoff)
         if name == "pnes":
             family, _, param = rest.partition(":")

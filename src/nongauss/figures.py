@@ -13,12 +13,12 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import gammaln
 
 from .channels import kerr, loss, squeeze
 from .distillation import (b_protocol_run, browne_state, log_negativity,
                            renormalized_ng, t_protocol_output)
 from .errors import ArgumentError
+from .fock import _log_factorials
 from .gaussian import h
 from .measures import QuadratureGrid, delta_a, delta_b, delta_c
 from .states import (PNESSpec, cat, coherent, delta_a_diagonal, delta_b_diagonal,
@@ -118,7 +118,7 @@ def fig4_diagonal_mixtures(seed=0, threads=1):
         for lam in grid:
             if family == "poisson":
                 n = np.arange(200)
-                w = np.exp(n * math.log(lam) - lam - gammaln(n + 1))
+                w = np.exp(n * math.log(lam) - lam - _log_factorials(n.size))
             elif family.endswith("_pt"):
                 w = pnes_coefficients(PNESSpec(family[:-3], float(lam), 12), 400) ** 2
             else:

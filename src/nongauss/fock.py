@@ -12,6 +12,7 @@ Entropies are in nats.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -41,6 +42,21 @@ def destroy(dim: int) -> np.ndarray:
     a[ns - 1, ns] = np.sqrt(ns)
     a.setflags(write=False)
     return a
+
+
+@lru_cache(maxsize=None)
+def _log_factorials(n: int) -> np.ndarray:
+    """ln k! for k < n, read-only, from math.lgamma.
+
+    scipy.special.gammaln agrees to 1e-13 relative, but importing
+    scipy.special adds about 0.35 s to a one-shot CLI process, against
+    0.2 s for ``import nongauss`` without scipy (2-core VM).  The cache
+    keeps the 4096-level tail scans of the state constructors from paying
+    4096 lgamma calls (about 1 ms) each.
+    """
+    table = np.fromiter(map(math.lgamma, range(1, n + 1)), dtype=float, count=n)
+    table.setflags(write=False)
+    return table
 
 
 def mode_operator(op: np.ndarray, mode: int, modes: int, cutoff: int) -> np.ndarray:

@@ -14,14 +14,16 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .config import tolerances
 from .errors import ArgumentError, NumericalValidityError, TruncationError
 from .fock import DensityMatrix, FockStateVector, State, destroy, mode_operator
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "GaussianData", "SingleModeGaussianParams", "marginal",
@@ -313,24 +315,36 @@ def _dense(entries, dim: int) -> np.ndarray:
     return out
 
 
+# scipy is imported inside the four functions below, not at module level:
+# scipy.sparse or scipy.linalg each add about 0.3 s to a one-shot CLI process
+# (2-core VM), against 0.2 s for the rest of ``import nongauss``, and most
+# processes never build a generator or call expm.
+
 def displacement_generator(alpha: complex, dim: int) -> scipy.sparse.csr_array:
-    """alpha a^dag - alpha* a on a dim-level mode, as a sparse matrix."""
+    """alpha a^dag - alpha* a on a dim-level mode, as a sparse matrix;
+    scipy.sparse is imported on the first call."""
+    import scipy.sparse
     return scipy.sparse.csr_array(_displacement_entries(alpha, dim), shape=(dim, dim))
 
 
 def squeeze_generator(r: float, phi: float, dim: int) -> scipy.sparse.csr_array:
     """(1/2)(zeta a^2 - zeta* a^dag^2), zeta = r e^{i phi}, on a dim-level mode,
-    as a sparse matrix."""
+    as a sparse matrix; scipy.sparse is imported on the first call."""
+    import scipy.sparse
     return scipy.sparse.csr_array(_squeeze_entries(r, phi, dim), shape=(dim, dim))
 
 
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
-    """D(alpha) = exp(alpha a^dag - alpha* a) on a dim-level mode."""
+    """D(alpha) = exp(alpha a^dag - alpha* a) on a dim-level mode, by
+    scipy.linalg.expm (imported on the first call)."""
+    import scipy.linalg
     return scipy.linalg.expm(_dense(_displacement_entries(alpha, dim), dim))
 
 
 def squeeze_matrix(r: float, phi: float, dim: int) -> np.ndarray:
-    """S(r, phi) = exp((r/2)(e^{i phi} a^2 - e^{-i phi} a^dag^2))."""
+    """S(r, phi) = exp((r/2)(e^{i phi} a^2 - e^{-i phi} a^dag^2)), by
+    scipy.linalg.expm (imported on the first call)."""
+    import scipy.linalg
     return scipy.linalg.expm(_dense(_squeeze_entries(r, phi, dim), dim))
 
 

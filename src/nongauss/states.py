@@ -7,11 +7,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .config import tolerances
 from .errors import ArgumentError, TruncationError
-from .fock import DensityMatrix, FockStateVector, shannon_entropy
+from .fock import DensityMatrix, FockStateVector, _log_factorials, shannon_entropy
 from .gaussian import GaussianData, h, thermal_weights
 
 __all__ = [
@@ -67,7 +66,7 @@ def _coherent_amplitudes(alphas, dim: int) -> np.ndarray:
     low = np.flatnonzero(out[0].real < tiny)
     if low.size:
         n = np.arange(dim)[:, None]
-        logc = (n * np.log(np.abs(a[low])) - 0.5 * gammaln(n + 1)
+        logc = (n * np.log(np.abs(a[low])) - 0.5 * _log_factorials(dim)[:, None]
                 - 0.5 * np.abs(a[low]) ** 2)
         normal = logc >= math.log(tiny)
         first = np.where(normal.any(axis=0), normal.argmax(axis=0), dim)
@@ -124,7 +123,8 @@ def _squeezed_vacuum_amplitudes(r: float, phi: float, nmax: int) -> np.ndarray:
         amps[0] = 1.0
         return amps
     m = np.arange((nmax + 1) // 2)
-    logmag = (0.5 * gammaln(2 * m + 1) - m * math.log(2.0) - gammaln(m + 1)
+    lf = _log_factorials(nmax)
+    logmag = (0.5 * lf[2 * m] - m * math.log(2.0) - lf[m]
               + m * math.log(t) - 0.5 * math.log(math.cosh(r)))
     vals = np.exp(logmag) * (-np.exp(-1j * phi)) ** m
     sel = 2 * m < nmax
@@ -246,7 +246,7 @@ def pnes_coefficients(spec: PNESSpec, nmax: int | None = None) -> np.ndarray:
             psi = np.zeros(nmax)
             psi[0] = 1.0
         else:
-            logc = np.concatenate(([0.0], n[1:] * math.log(abs(x)))) - gammaln(n + 1)
+            logc = np.concatenate(([0.0], n[1:] * math.log(abs(x)))) - _log_factorials(nmax)
             psi = np.exp(logc) * np.sign(x) ** n
     elif spec.family == "pssv":
         psi = (n + 1) * x ** (n + 1)

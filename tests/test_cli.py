@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nongauss
 from nongauss import config
 from nongauss.cli import main, parse_channel, parse_state
 from nongauss.errors import ArgumentError
@@ -263,3 +268,41 @@ def test_main_leaves_global_state_alone(capsys):
         assert config.tolerances() is before
     after = np.random.get_state()
     assert after[0] == rng[0] and np.array_equal(after[1], rng[1]) and after[2:] == rng[2:]
+
+
+def test_poisson_mean_must_be_non_negative(capsys):
+    code, out, err = run(capsys, "measure", "deltaB", "--state", "poisson:-1")
+    assert code == 2 and out == ""
+    assert "mean photon number must be >= 0" in err
+    rho = parse_state("poisson:0", 20)
+    assert rho.matrix[0, 0] == 1.0 and np.count_nonzero(rho.matrix) == 1
+
+
+@pytest.mark.parametrize("lam, hint", [(700, 876), (5000, 5457)])
+def test_poisson_beyond_the_cutoff_names_the_minimal_cutoff(capsys, lam, hint):
+    # hint - 1 is the least k with P(N <= k) >= 1 - tail_tol for N ~ Poisson(lam),
+    # from scipy.stats.poisson.cdf
+    code, out, err = run(capsys, "measure", "deltaB", "--state", f"poisson:{lam}")
+    assert code == 4 and out == ""
+    assert f"minimal adequate cutoff is {hint}" in err
+
+
+def test_poisson_too_large_to_scan_is_a_truncation_error(capsys):
+    code, _, err = run(capsys, "measure", "deltaB", "--state", "poisson:1e9")
+    assert code == 4 and "beyond 65536 levels" in err
+
+
+def test_measure_imports_no_scipy():
+    # a one-shot CLI process pays for every module it imports; scipy is
+    # imported only by the functions that run expm, sparse actions or Nelder-Mead
+    env = dict(os.environ, PYTHONPATH=str(Path(nongauss.__file__).resolve().parents[1]))
+    code = ("import sys\n"
+            "from nongauss import cli\n"
+            "assert cli.main(['measure', 'deltaB', '--state', 'cat:1.0,0.785']) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    value, loaded = proc.stdout.strip().splitlines()
+    assert float(value) > 0
+    assert loaded == "[]"

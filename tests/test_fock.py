@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from nongauss import (ArgumentError, DensityMatrix, FockStateVector,
                       NumericalValidityError, TruncationError, moments, overlap,
                       partial_trace, partial_transpose, purity,
                       random_density_matrix, tensor, von_neumann_entropy)
+from nongauss.fock import _log_factorials
 from nongauss.states import fock, thermal, vacuum
 
 
@@ -215,3 +217,14 @@ def test_vector_leakage_is_carried():
     assert tensor(psi, FockStateVector(1, 3, [1, 0, 0], leakage=1e-9)).leakage == 2e-9 + 1e-9
     with pytest.raises(TruncationError, match="leak_max"):
         moments(FockStateVector(1, 3, [0, 1, 0], leakage=1e-3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 4096])
+def test_log_factorial_table(n):
+    table = _log_factorials(n)
+    assert table.shape == (n,)
+    assert table[0] == 0.0 and (n < 2 or table[1] == 0.0)
+    exact = gammaln(np.arange(n) + 1.0)
+    assert np.all(np.abs(table[2:] - exact[2:]) <= 1e-13 * exact[2:])
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 1.0

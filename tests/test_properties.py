@@ -6,6 +6,8 @@ from scipy.special import xlogy
 
 from nongauss import (DensityMatrix, beam_split, delta_a, delta_b, displace, loss,
                       purity, random_density_matrix, squeeze)
+from nongauss.bounds import (PhotodetectionPOVM, detection_statistics, epsilon_a,
+                             epsilon_b, epsilon_c, epsilon_d, epsilon_e)
 from nongauss.fock import tensor
 from nongauss.states import fock
 
@@ -85,3 +87,33 @@ def test_delta_b_does_not_increase_under_loss(rho, eta):
 @given(mixed_states)
 def test_delta_b_bounds_purity_times_delta_a(rho):
     assert delta_b(rho).value >= purity(rho) * delta_a(rho).value - 1e-9
+
+
+# -- the epsilon bounds are lower bounds on delta_B, each on its own class -----
+
+def _diagonal_state(support: int, seed: int) -> DensityMatrix:
+    """A random Fock-diagonal state on |0> ... |support - 1>, at cutoff CUT."""
+    w = np.zeros(CUT)
+    w[:support] = np.random.default_rng(seed).dirichlet(np.ones(support))
+    return DensityMatrix(1, CUT, np.diag(w).astype(complex))
+
+
+diagonal_states = st.builds(_diagonal_state, st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+
+
+@property_settings
+@given(mixed_states, st.floats(0.05, 1.0))
+def test_epsilon_d_and_e_bound_delta_b_on_single_mode_states(rho, eta):
+    db = delta_b(rho).value
+    assert epsilon_d(rho) <= db + 1e-9
+    assert epsilon_e(rho, eta) <= db + 1e-9
+
+
+@property_settings
+@given(diagonal_states, st.floats(0.05, 1.0))
+def test_epsilon_a_b_and_c_bound_delta_b_on_fock_diagonal_states(rho, eta):
+    db = delta_b(rho).value
+    q = detection_statistics(rho, PhotodetectionPOVM(eta, CUT))
+    assert epsilon_a(q) <= db + 1e-9
+    assert epsilon_b(rho) <= db + 1e-9
+    assert epsilon_c(rho, eta) <= db + 1e-9
