@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import tolerances
-from .errors import ArgumentError, TruncationError
+from .errors import ArgumentError, NumericalValidityError, TruncationError
 from .fock import DensityMatrix, FockStateVector, State, _log_factorials, as_density
-from .gaussian import displacement_generator, squeeze_generator
 
 __all__ = [
     "ChannelSpec", "loss", "loss_transition_matrix", "phase_diffusion", "kerr",
@@ -154,8 +153,8 @@ def phase_diffusion(state: State, delta: float) -> DensityMatrix:
     rho = as_density(state)
     if rho.modes != 1:
         raise ArgumentError("phase diffusion is a single-mode channel")
-    if not delta >= 0:
-        raise ArgumentError("delta must be >= 0")
+    if not (np.isfinite(delta) and delta >= 0):
+        raise ArgumentError(f"phase diffusion needs a finite delta >= 0, got {delta!r}")
     n = np.arange(rho.cutoff)
     kernel = np.exp(-(delta ** 2) * np.subtract.outer(n, n) ** 2)
     return DensityMatrix(1, rho.cutoff, rho.matrix * kernel, leakage=rho.leakage)
@@ -165,6 +164,8 @@ def kerr(state: State, gamma: float) -> State:
     """Self-Kerr unitary exp(-i gamma (a^dag a)^2) on a single-mode state."""
     if state.modes != 1:
         raise ArgumentError("kerr is a single-mode channel")
+    if not np.isfinite(gamma):
+        raise ArgumentError(f"kerr needs a finite gamma, got {gamma!r}")
     d = state.cutoff
     u = np.exp(-1j * gamma * np.arange(d) ** 2)
     if isinstance(state, FockStateVector):
@@ -180,10 +181,11 @@ def kerr(state: State, gamma: float) -> State:
 def _apply_local_unitary(state: State, act, modes: tuple[int, ...], name: str) -> State:
     """Apply a unitary on `modes`, crop it to the cutoff and renormalize.
 
-    `act(t, axes, conj)` applies the unitary's cutoff-sized block (its complex
-    conjugate if `conj`) to the given axes of a state tensor.  The mass pushed
-    past the cutoff is the leakage: 1 - ||psi||^2 for a vector, 1 - tr for a
-    density matrix, carried forward in the result's `leakage`.
+    `act(t, axes, conj)` applies the unitary's cutoff-sized block, the exact
+    <m|U|n> for all levels m, n below the cutoff (its complex conjugate if
+    `conj`), to the given axes of a state tensor.  The mass pushed past the
+    cutoff is the leakage: 1 - ||psi||^2 for a vector, 1 - tr for a density
+    matrix, carried forward in the result's `leakage`.
     """
     m, d = state.modes, state.cutoff
     if len(set(modes)) != len(modes) or not all(0 <= k < m for k in modes):
@@ -206,95 +208,108 @@ def _apply_local_unitary(state: State, act, modes: tuple[int, ...], name: str) -
     return DensityMatrix(m, d, 0.5 * (t + t.conj().T), leakage=state.leakage + leak)
 
 
-# theta_m of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), table 3.1:
-# m Taylor terms of exp(A) reach double precision while ||A||_1 <= theta_m
-_TAYLOR_THETA = {5: 2.4e-3, 10: 1.44e-1, 15: 6.41e-1, 20: 1.44, 25: 2.43, 30: 3.54,
-                 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9}
-
-
-def _exp_action(gen, b: np.ndarray) -> np.ndarray:
-    """exp(gen) @ b for a sparse gen and a 2-D b, without forming exp(gen).
-
-    Al-Mohy & Higham's algorithm 3.2: s steps of exp(gen/s), each an m-term
-    Taylor series cut off once two successive terms fall below double
-    precision of the sum, with m * s minimal subject to ||gen||_1 / s <=
-    theta_m.  scipy.sparse.linalg.expm_multiply runs the same scheme but
-    estimates norms of powers of gen from random vectors drawn from NumPy's
-    global RNG, which advances that RNG and moved results by up to 3e-12
-    between draws on random inputs; the exact 1-norm of gen keeps this
-    deterministic.
-    """
-    norm = float(abs(gen).sum(axis=0).max())
-    m, s = min(((m, max(1, math.ceil(norm / theta))) for m, theta in _TAYLOR_THETA.items()),
-               key=lambda ms: ms[0] * ms[1])
-
-    def size(x):   # max-norm of the real and imaginary parts
-        return float(np.max(np.abs(x.view(float))))
-
-    f = b.copy()
-    for _ in range(s):
-        c1 = size(b)
-        for j in range(1, m + 1):
-            b = gen @ b
-            b /= s * j
-            c2 = size(b)
-            f += b
-            if c1 + c2 <= 2.0 ** -53 * size(f):
-                break
-            c1 = c2
-        b = f
-    return f
-
-
-def _generator_action(gen):
-    """Action of exp(gen) on one tensor axis, exp(gen*) on the bra side: the axis
-    is padded with zero levels to gen's dimension, acted on and cropped back."""
+def _block_action(u: np.ndarray):
+    """Action of the cutoff-sized block u on one tensor axis, of its conjugate
+    on the bra side."""
     def act(t, axes, conj):
         (ax,) = axes
-        d = t.shape[ax]
-        moved = np.moveaxis(t, ax, 0)
-        b = np.zeros((gen.shape[0], moved[0].size), dtype=complex)
-        b[:d] = moved.reshape(d, -1)
-        out = _exp_action(gen.conj() if conj else gen, b)[:d]
-        return np.moveaxis(out.reshape(moved.shape), 0, ax)
+        return np.moveaxis(np.tensordot(u.conj() if conj else u, t, axes=(1, ax)), 0, ax)
     return act
+
+
+def _displacement_block(alpha: complex, d: int) -> np.ndarray:
+    """<m|D(alpha)|n> for m, n < d by the Laguerre recurrence along each diagonal.
+
+    With x = |alpha|^2, <m|D(|alpha|)|n> = sqrt(n!/m!) |alpha|^(m-n) e^(-x/2)
+    L_n^(m-n)(x) for m >= n (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), so
+    column 0 is Poisson and, with n increasing along each diagonal,
+
+        sqrt(mn) G[m, n] = (m + n - 1 - x) G[m-1, n-1] - sqrt((m-1)(n-1)) G[m-2, n-2].
+
+    n increasing runs from the classically forbidden region into the allowed
+    one, where the wanted solution dominates.  (The two-sided averaged
+    recursion of _squeeze_block is unstable here: off by 9e-6 at |alpha| = 10,
+    d = 400, and by 5e29 at |alpha| = 25, d = 1000.)  The upper triangle is
+    G[n, m] = (-1)^(m-n) G[m, n], and a phase e^(i theta (m-n)) turns D(|alpha|)
+    into D(|alpha| e^(i theta)).  Raises NumericalValidityError where e^(-x/2)
+    is not a normal double (|alpha| beyond ~37.6).
+    """
+    a = abs(alpha)
+    x = a * a
+    if not math.exp(-x / 2) >= np.finfo(float).tiny:
+        raise NumericalValidityError(
+            f"displace({alpha}): e^(-|alpha|^2/2) = e^{-x / 2:.1f} is not a normal double")
+    k = np.arange(d)
+    root = np.sqrt(k)
+    h = np.zeros((d, d))     # h[n, m] = <m|D(|alpha|)|n> for m >= n
+    h[0] = np.exp(k * math.log(a) - x / 2 - 0.5 * _log_factorials(d)) if a else k == 0
+    for n in range(1, d):
+        row = (k[n:] + n - 1 - x) * h[n - 1, n - 1:d - 1]
+        if n > 1:
+            row -= root[n - 1] * root[n - 1:d - 1] * h[n - 2, n - 2:d - 2]
+        h[n, n:] = row / (root[n] * root[n:])
+    sign = np.where(np.subtract.outer(k, k) % 2, -1.0, 1.0)
+    phase = np.exp(1j * np.angle(alpha) * k)
+    return (h.T + sign * np.triu(h, 1)) * phase[:, None] * phase.conj()
+
+
+def _squeeze_block(r: float, phi: float, d: int) -> np.ndarray:
+    """<m|S(r, phi)|n> for m, n < d from S's generating function (Miatto &
+    Quesada, Quantum 4, 366 (2020)), one anti-diagonal N = m + n at a time.
+
+    With A = [[-e^(-i phi) tanh r, sech r], [sech r, e^(i phi) tanh r]] and
+    G[0, 0] = (cosh r)^(-1/2), the row step and the column step averaged with
+    weights m/N and n/N give
+
+        N G[m, n] = A00 sqrt(m(m-1)) G[m-2, n] + 2 sech r sqrt(mn) G[m-1, n-1]
+                    + A11 sqrt(n(n-1)) G[m, n-2],
+
+    which stays accurate where either one-sided step alone does not (4e-4 at
+    r = 1, d = 96).  Odd anti-diagonals are zero.
+    """
+    t, sech = math.tanh(r), 1.0 / math.cosh(r)
+    turn = complex(math.cos(phi), math.sin(phi))
+    a00, a11 = -t * turn.conjugate(), t * turn
+    k = np.arange(d)
+    root, root2 = np.sqrt(k), np.sqrt(k * (k - 1))
+    z = np.zeros((d + 2, d + 2), dtype=complex)   # z[m + 2, n + 2] = G[m, n]
+    z[2, 2] = math.sqrt(sech)
+    for total in range(2, 2 * d - 1, 2):
+        m = np.arange(max(0, total - d + 1), min(total, d - 1) + 1)
+        n = total - m
+        z[m + 2, n + 2] = (a00 * root2[m] * z[m, n + 2]
+                           + 2 * sech * root[m] * root[n] * z[m + 1, n + 1]
+                           + a11 * root2[n] * z[m + 2, n]) / total
+    return z[2:, 2:]
 
 
 def displace(state: State, alpha: complex, mode: int = 0) -> State:
     """D(alpha) on one mode, cropped to the cutoff and renormalized.
 
-    The generator G = alpha a^dag - alpha* a lives on d_int = d + max(20,
-    2|alpha|^2 + 6|alpha| sqrt(d)) levels, so its truncation stays far from the
-    returned d levels.  exp(G) acts on the state directly, with no d_int x d_int
-    matrix formed: O(||G||_1 + 10) products of the sparse G with the state's
-    columns, ||G||_1 ~ 2|alpha| sqrt(d_int), each 2 d_int multiply-adds per
-    column; an m-mode vector has d^(m-1) columns, a density 2 d^(2m-1).
+    The d x d block of D(alpha) is exact at the cutoff d: _displacement_block
+    fills it by a Laguerre recurrence in O(d^2) operations, within 2e-14 of the
+    mpmath closed form up to |alpha| = 37.6 at d = 1900.  It acts on the mode's
+    ket axis, its conjugate on the bra axis, at d^2 multiply-adds per column of
+    the state (an m-mode vector has d^(m-1) columns, a density 2 d^(2m-1)).
     """
     if not np.isfinite(alpha):
         raise ArgumentError(f"displace needs a finite alpha, got {alpha!r}")
-    d = state.cutoff
-    a = abs(alpha)
-    d_int = d + max(20, int(math.ceil(2 * a * a + 6 * a * math.sqrt(d))))
-    return _apply_local_unitary(state, _generator_action(displacement_generator(alpha, d_int)),
+    return _apply_local_unitary(state, _block_action(_displacement_block(alpha, state.cutoff)),
                                 (mode,), f"displace({alpha})")
 
 
 def squeeze(state: State, r: float, phi: float = 0.0, mode: int = 0) -> State:
     """S(r, phi) on one mode, cropped to the cutoff and renormalized.
 
-    The generator G = (1/2)(zeta a^2 - zeta* a^dag^2) lives on d_int =
-    ceil(d cosh 2r) + 20 levels.  exp(G) acts on the state directly, with no
-    d_int x d_int matrix formed: O(||G||_1 + 10) products of the sparse G with
-    the state's columns, ||G||_1 ~ r d_int (470 products at d = 96, r = 1),
-    each 2 d_int multiply-adds per column; an m-mode vector has d^(m-1)
-    columns, a density 2 d^(2m-1).  A vector thus costs O(r d_int^2), where
-    the dense unitary cost O(d_int^3), and a density d^(2m-1) times more.
+    The d x d block of S(r, phi) is exact at the cutoff d: _squeeze_block fills
+    it by an averaged recursion in O(d^2) operations, within 3e-14 of a large
+    expm on the columns where that has converged, for r up to 2.5 at d = 400,
+    r = 1 at d = 800 and r = 0.3 at d = 1500.  It acts on the mode's ket axis,
+    its conjugate on the bra axis, at d^2 multiply-adds per column of the state.
     """
     if not (np.isfinite(r) and np.isfinite(phi)):
         raise ArgumentError(f"squeeze needs finite r and phi, got r = {r!r}, phi = {phi!r}")
-    d = state.cutoff
-    d_int = int(math.ceil(d * math.cosh(2 * r))) + 20
-    return _apply_local_unitary(state, _generator_action(squeeze_generator(r, phi, d_int)),
+    return _apply_local_unitary(state, _block_action(_squeeze_block(r, phi, state.cutoff)),
                                 (mode,), f"squeeze({r}, {phi})")
 
 

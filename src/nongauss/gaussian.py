@@ -14,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,14 +21,10 @@ from .config import tolerances
 from .errors import ArgumentError, NumericalValidityError, TruncationError
 from .fock import DensityMatrix, FockStateVector, State, destroy, mode_operator
 
-if TYPE_CHECKING:
-    import scipy.sparse
-
 __all__ = [
     "GaussianData", "SingleModeGaussianParams", "marginal",
     "moments", "h", "symplectic_eigenvalues", "gaussian_entropy",
     "fit_single_mode_gaussian", "reference_gaussian_state",
-    "displacement_generator", "squeeze_generator",
     "displacement_matrix", "squeeze_matrix", "thermal_weights",
     "gaussian_fock_block", "synthesize_single_mode_gaussian",
 ]
@@ -281,71 +276,32 @@ def _cm_from_params(p: SingleModeGaussianParams) -> np.ndarray:
     ])
 
 
-def _off_diagonal_pair(upper: np.ndarray, lower: np.ndarray, offset: int):
-    """COO entries (values, (rows, cols)): upper[k] at (k, k+offset), lower[k] at (k+offset, k)."""
-    k = np.arange(upper.size)
-    return (np.concatenate([upper, lower]),
-            (np.concatenate([k, k + offset]), np.concatenate([k + offset, k])))
-
-
-def _displacement_entries(alpha: complex, dim: int):
-    """COO entries of alpha a^dag - alpha* a, equal to the dense products bit for bit."""
-    root = np.sqrt(np.arange(1, dim))
-    return _off_diagonal_pair(-(np.conj(alpha) * root), alpha * root, 1)
-
-
-def _squeeze_entries(r: float, phi: float, dim: int):
-    """COO entries of (1/2)(zeta a^2 - zeta* a^dag^2), zeta = r e^{i phi}.
-
-    The products are associated as in the dense (zeta a) @ a and
-    (zeta* a^dag) @ a^dag, so the entries equal the dense ones bit for bit.
-    """
-    zeta = r * np.exp(1j * phi)
-    k = np.arange(max(dim - 2, 0))
-    r1, r2 = np.sqrt(k + 1), np.sqrt(k + 2)
-    return _off_diagonal_pair(0.5 * ((zeta * r1) * r2), -0.5 * ((np.conj(zeta) * r2) * r1), 2)
-
-
-def _dense(entries, dim: int) -> np.ndarray:
-    """The dim x dim array of COO entries; for the small blocks of the synthesis
-    this costs a tenth of building a scipy.sparse matrix and expanding it."""
-    values, index = entries
-    out = np.zeros((dim, dim), dtype=complex)
-    out[index] = values
-    return out
-
-
-# scipy is imported inside the four functions below, not at module level:
-# scipy.sparse or scipy.linalg each add about 0.3 s to a one-shot CLI process
-# (2-core VM), against 0.2 s for the rest of ``import nongauss``, and most
-# processes never build a generator or call expm.
-
-def displacement_generator(alpha: complex, dim: int) -> scipy.sparse.csr_array:
-    """alpha a^dag - alpha* a on a dim-level mode, as a sparse matrix;
-    scipy.sparse is imported on the first call."""
-    import scipy.sparse
-    return scipy.sparse.csr_array(_displacement_entries(alpha, dim), shape=(dim, dim))
-
-
-def squeeze_generator(r: float, phi: float, dim: int) -> scipy.sparse.csr_array:
-    """(1/2)(zeta a^2 - zeta* a^dag^2), zeta = r e^{i phi}, on a dim-level mode,
-    as a sparse matrix; scipy.sparse is imported on the first call."""
-    import scipy.sparse
-    return scipy.sparse.csr_array(_squeeze_entries(r, phi, dim), shape=(dim, dim))
-
+# scipy is imported inside the two functions below, not at module level:
+# scipy.linalg adds about 0.3 s to a one-shot CLI process (2-core VM), against
+# 0.2 s for the rest of ``import nongauss``, and most processes never call expm.
 
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     """D(alpha) = exp(alpha a^dag - alpha* a) on a dim-level mode, by
     scipy.linalg.expm (imported on the first call)."""
     import scipy.linalg
-    return scipy.linalg.expm(_dense(_displacement_entries(alpha, dim), dim))
+    root = np.sqrt(np.arange(1, dim))
+    alpha = complex(alpha)   # complex for a real alpha too: expm's output keeps one dtype
+    return scipy.linalg.expm(np.diag(alpha * root, -1) - np.diag(np.conj(alpha) * root, 1))
 
 
 def squeeze_matrix(r: float, phi: float, dim: int) -> np.ndarray:
     """S(r, phi) = exp((r/2)(e^{i phi} a^2 - e^{-i phi} a^dag^2)), by
-    scipy.linalg.expm (imported on the first call)."""
+    scipy.linalg.expm (imported on the first call).
+
+    The products are associated as in the dense (zeta a) @ a and
+    (zeta* a^dag) @ a^dag, zeta = r e^{i phi}, so the generator equals the
+    dense one bit for bit.
+    """
     import scipy.linalg
-    return scipy.linalg.expm(_dense(_squeeze_entries(r, phi, dim), dim))
+    zeta = r * np.exp(1j * phi)
+    r1, r2 = np.sqrt(np.arange(1, dim - 1)), np.sqrt(np.arange(2, dim))
+    gen = np.diag(0.5 * ((zeta * r1) * r2), 2) - np.diag(0.5 * ((np.conj(zeta) * r2) * r1), -2)
+    return scipy.linalg.expm(gen[:dim, :dim])   # the crop matters only for dim < 2
 
 
 def thermal_weights(n_th: float, dim: int) -> np.ndarray:

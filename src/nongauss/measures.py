@@ -301,7 +301,7 @@ def ng_of_map(channel: ChannelSpec, energy_cap: float = 4.0, cutoff: int = 30,
 
         The map-search references pin the Nelder-Mead path of phase_diffusion,
         where the squeezing phase is redundant and rounding breaks the tie: the
-        exact block moves probe_phi from 1.4293 to 6.2827.  ROADMAP item 2
+        exact block moves probe_phi from 1.4293 to 6.2827.  ROADMAP item 3
         deletes this builder when it regenerates those references.
         """
         d = probe_cutoff(params)

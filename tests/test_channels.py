@@ -1,14 +1,17 @@
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.special import hyp2f1
 
 from nongauss import (ArgumentError, ChannelSpec, DensityMatrix, FockStateVector,
-                      TruncationError, apply_channel, beam_split, delta_a, delta_b,
-                      displace, kerr, loss, phase_diffusion, squeeze, tensor)
-from nongauss.channels import _bs_blocks, loss_transition_matrix
+                      NumericalValidityError, TruncationError, apply_channel, beam_split,
+                      delta_a, delta_b, displace, kerr, loss, phase_diffusion, squeeze, tensor)
+from nongauss.channels import (_bs_blocks, _displacement_block, _squeeze_block,
+                               loss_transition_matrix)
+from nongauss.fock import destroy
 from nongauss.gaussian import displacement_matrix, squeeze_matrix
 from nongauss.states import coherent, fock, thermal, vacuum
 
@@ -252,7 +255,7 @@ def test_local_unitary_commutes_with_mode_relabelling():
 
 
 def test_displace_and_squeeze_match_the_dense_blocks():
-    # reference: the d x d block of the unitary built densely at the internal
+    # reference: the d x d block of the unitary built densely at an enlarged
     # cutoff, applied to one mode's axis (its conjugate on the bra side)
     alpha, r, phi = 0.5 - 0.3j, 0.15, 1.1   # leakage from 1e-11 to 2e-7
     cases = [
@@ -281,6 +284,47 @@ def test_displace_and_squeeze_match_the_dense_blocks():
                 assert np.max(np.abs(out.matrix - m / np.trace(m))) <= 1e-12
                 assert abs(out.leakage - (1.0 - kept)) <= 1e-12
                 assert abs(np.trace(m) - kept) <= 1e-12
+
+
+def _displacement_entry(alpha, m, n):
+    """<m|D(alpha)|n> by the Laguerre closed form (Cahill & Glauber, Phys. Rev.
+    177, 1857 (1969)), in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        a = mpmath.mpc(alpha.real, alpha.imag)
+        lo, hi, z = (n, m, a) if m >= n else (m, n, -mpmath.conj(a))
+        x = abs(a) ** 2
+        return complex(mpmath.sqrt(mpmath.factorial(lo) / mpmath.factorial(hi)) * z ** (hi - lo)
+                       * mpmath.exp(-x / 2) * mpmath.laguerre(lo, hi - lo, x))
+
+
+@pytest.mark.parametrize("alpha, d", [(3j, 60), (4 + 2j, 96), (10, 400), (25, 1000)])
+def test_displacement_block_matches_the_laguerre_closed_form(alpha, d):
+    block = _displacement_block(complex(alpha), d)
+    rng = np.random.default_rng(d)
+    for m, n in [(0, 0), (d - 1, d - 1), (d - 1, 0), (0, d - 1)] + [
+            tuple(int(i) for i in rng.integers(0, d, 2)) for _ in range(34)]:
+        assert abs(block[m, n] - _displacement_entry(complex(alpha), m, n)) <= 1e-13, (m, n)
+
+
+@pytest.mark.parametrize("r, phi, d, dim, cols", [(1.0, 0.7, 96, 400, 96),
+                                                   (2.0, 0.7, 200, 800, 16)])
+def test_squeeze_block_matches_a_large_expm(r, phi, d, dim, cols):
+    # the top-left block of S truncated to dim levels has converged on the
+    # first cols columns: it moves by < 2e-14 there when dim grows by half.
+    # A one-sided row recursion is off by 4e-4 in the last column at r = 1.
+    a = destroy(dim)
+    zeta = r * np.exp(1j * phi)
+    big = scipy.linalg.expm(0.5 * ((zeta * a) @ a - (np.conj(zeta) * a.T) @ a.T))
+    block = _squeeze_block(r, phi, d)
+    assert np.max(np.abs(block[:, :cols] - big[:d, :cols])) <= 1e-13
+
+
+def test_displace_raises_where_the_vacuum_amplitude_underflows():
+    # e^(-|alpha|^2/2) is subnormal from |alpha| ~ 37.6 on
+    for state in (fock(0, 50), fock(0, 50).density()):
+        with pytest.raises(NumericalValidityError, match="not a normal double"):
+            displace(state, 38.0)
+    assert _displacement_block(37.0, 50)[0, 0] > 0
 
 
 def test_local_unitary_leakage_raises():
@@ -342,7 +386,10 @@ def _spec_cases():
 @pytest.mark.parametrize("op, args", [
     (squeeze, (float("nan"),)), (squeeze, (0.3, float("inf"))),
     (displace, (complex("nan"),)), (displace, (complex(0.0, float("inf")),)),
-], ids=["squeeze-r-nan", "squeeze-phi-inf", "displace-nan", "displace-inf"])
+    (phase_diffusion, (float("inf"),)), (phase_diffusion, (float("nan"),)),
+    (kerr, (float("nan"),)), (kerr, (float("-inf"),)),
+], ids=["squeeze-r-nan", "squeeze-phi-inf", "displace-nan", "displace-inf",
+        "phase_diffusion-inf", "phase_diffusion-nan", "kerr-nan", "kerr-inf"])
 def test_unitaries_reject_non_finite_parameters(op, args):
     with pytest.raises(ArgumentError, match="finite"):
         op(fock(1, 20), *args)

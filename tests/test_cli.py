@@ -292,17 +292,24 @@ def test_poisson_too_large_to_scan_is_a_truncation_error(capsys):
     assert code == 4 and "beyond 65536 levels" in err
 
 
-def test_measure_imports_no_scipy():
+@pytest.mark.parametrize("argv, check", [
+    (["measure", "deltaB", "--state", "cat:1.0,0.785"], lambda out: float(out) > 0),
+    (["channel", "apply", "--channel", "squeeze:0.4,0.3", "--state", "fock:1", "--cutoff", "40"],
+     lambda out: json.loads(out)["cutoff"] == 40),
+    (["channel", "apply", "--channel", "displace:0.5", "--state", "fock:1", "--cutoff", "40"],
+     lambda out: json.loads(out)["cutoff"] == 40),
+], ids=["measure", "squeeze", "displace"])
+def test_measure_imports_no_scipy(argv, check):
     # a one-shot CLI process pays for every module it imports; scipy is
-    # imported only by the functions that run expm, sparse actions or Nelder-Mead
+    # imported only by the functions that run expm or Nelder-Mead
     env = dict(os.environ, PYTHONPATH=str(Path(nongauss.__file__).resolve().parents[1]))
     code = ("import sys\n"
             "from nongauss import cli\n"
-            "assert cli.main(['measure', 'deltaB', '--state', 'cat:1.0,0.785']) == 0\n"
+            f"assert cli.main({argv!r}) == 0\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     value, loaded = proc.stdout.strip().splitlines()
-    assert float(value) > 0
+    assert check(value)
     assert loaded == "[]"
