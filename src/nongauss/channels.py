@@ -229,25 +229,41 @@ def _displacement_block(alpha: complex, d: int) -> np.ndarray:
     n increasing runs from the classically forbidden region into the allowed
     one, where the wanted solution dominates.  (The two-sided averaged
     recursion of _squeeze_block is unstable here: off by 9e-6 at |alpha| = 10,
-    d = 400, and by 5e29 at |alpha| = 25, d = 1000.)  The upper triangle is
-    G[n, m] = (-1)^(m-n) G[m, n], and a phase e^(i theta (m-n)) turns D(|alpha|)
-    into D(|alpha| e^(i theta)).  Raises NumericalValidityError where e^(-x/2)
-    is not a normal double (|alpha| beyond ~37.6).
+    d = 400, and by 5e29 at |alpha| = 25, d = 1000.)  A diagonal whose start is
+    below the normal doubles (e^(-x/2) is, from |alpha| ~ 37.6 on) runs as a
+    mantissa times 2^e[j], e[j] < 0, and hands 2^500 at a time from the mantissa
+    to e[j] as it grows.  The upper triangle is G[n, m] = (-1)^(m-n) G[m, n],
+    and a phase e^(i theta (m-n)) turns D(|alpha|) into D(|alpha| e^(i theta)).
+    Raises NumericalValidityError for |alpha|^2 >= 2^60, beyond which e[j]
+    leaves int64; below it one step grows a mantissa by less than 2^61.
     """
     a = abs(alpha)
     x = a * a
-    if not math.exp(-x / 2) >= np.finfo(float).tiny:
-        raise NumericalValidityError(
-            f"displace({alpha}): e^(-|alpha|^2/2) = e^{-x / 2:.1f} is not a normal double")
+    if not x < 2.0 ** 60:
+        raise NumericalValidityError(f"displace({alpha}): |alpha|^2 = {x:.3g} is not below 2^60")
     k = np.arange(d)
     root = np.sqrt(k)
+    if a:                    # <n+j|D(|alpha|)|n> = cur[j] 2^e[j] on row n
+        logs = k * math.log(a) - x / 2 - 0.5 * _log_factorials(d)
+        e = np.where(logs < math.log(np.finfo(float).tiny), np.floor(logs / math.log(2)), 0)
+        e = e.astype(int)
+        cur = np.exp(logs - e * math.log(2))
+    else:
+        e, cur = np.zeros(d, dtype=int), (k == 0).astype(float)
+    scaled = bool(e.any())
     h = np.zeros((d, d))     # h[n, m] = <m|D(|alpha|)|n> for m >= n
-    h[0] = np.exp(k * math.log(a) - x / 2 - 0.5 * _log_factorials(d)) if a else k == 0
+    h[0] = np.ldexp(cur, e)
     for n in range(1, d):
-        row = (k[n:] + n - 1 - x) * h[n - 1, n - 1:d - 1]
+        row = (k[n:] + n - 1 - x) * cur[:-1]
         if n > 1:
-            row -= root[n - 1] * root[n - 1:d - 1] * h[n - 2, n - 2:d - 2]
-        h[n, n:] = row / (root[n] * root[n:])
+            row -= root[n - 1] * root[n - 1:d - 1] * prev[:-2]
+        row /= root[n] * root[n:]
+        if scaled:
+            shift = np.where(np.abs(row) > 2.0 ** 500, np.minimum(-e[:d - n], 500), 0)
+            row, cur[:d - n] = np.ldexp(row, -shift), np.ldexp(cur[:d - n], -shift)
+            e[:d - n] += shift
+        h[n, n:] = np.ldexp(row, e[:d - n]) if scaled else row
+        prev, cur = cur, row
     sign = np.where(np.subtract.outer(k, k) % 2, -1.0, 1.0)
     phase = np.exp(1j * np.angle(alpha) * k)
     return (h.T + sign * np.triu(h, 1)) * phase[:, None] * phase.conj()
@@ -288,7 +304,7 @@ def displace(state: State, alpha: complex, mode: int = 0) -> State:
 
     The d x d block of D(alpha) is exact at the cutoff d: _displacement_block
     fills it by a Laguerre recurrence in O(d^2) operations, within 2e-14 of the
-    mpmath closed form up to |alpha| = 37.6 at d = 1900.  It acts on the mode's
+    closed form up to |alpha| = 45 at d = 2200.  It acts on the mode's
     ket axis, its conjugate on the bra axis, at d^2 multiply-adds per column of
     the state (an m-mode vector has d^(m-1) columns, a density 2 d^(2m-1)).
     """

@@ -1,6 +1,7 @@
 import itertools
+import math
+from decimal import Decimal, localcontext
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -287,18 +288,36 @@ def test_displace_and_squeeze_match_the_dense_blocks():
 
 
 def _displacement_entry(alpha, m, n):
-    """<m|D(alpha)|n> by the Laguerre closed form (Cahill & Glauber, Phys. Rev.
-    177, 1857 (1969)), in 60-digit arithmetic."""
-    with mpmath.workdps(60):
-        a = mpmath.mpc(alpha.real, alpha.imag)
-        lo, hi, z = (n, m, a) if m >= n else (m, n, -mpmath.conj(a))
-        x = abs(a) ** 2
-        return complex(mpmath.sqrt(mpmath.factorial(lo) / mpmath.factorial(hi)) * z ** (hi - lo)
-                       * mpmath.exp(-x / 2) * mpmath.laguerre(lo, hi - lo, x))
+    """<m|D(alpha)|n> for a Gaussian-integer alpha by the Laguerre closed form
+    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).  For m >= n and x = |alpha|^2,
+
+        <m|D(alpha)|n> = alpha^(m-n) e^(-x/2) s / sqrt(m! n!),
+        s = n! L_n^(m-n)(x) = sum_i (-1)^i C(m, n-i) x^i n!/i!,
+
+    and <n|D(alpha)|m> is the same with -conj(alpha) for alpha.  s and
+    alpha^(m-n) are exact integers; the rest is rounded to 50 digits."""
+    re, im = int(alpha.real), int(alpha.imag)
+    assert complex(re, im) == alpha
+    if m < n:
+        m, n, re = n, m, -re
+    x = re * re + im * im
+    s, c, f = 0, 1, 1           # c = C(m, n-i), f = n!/i! at step i
+    for i in range(n, -1, -1):
+        s = s * x + (-1) ** i * c * f
+        c, f = c * (m - n + i) // (n - i + 1), f * i
+    pr, pi = 1, 0
+    for _ in range(m - n):
+        pr, pi = pr * re - pi * im, pr * im + pi * re
+    with localcontext() as ctx:
+        ctx.prec = 50
+        scale = (Decimal(-x) / 2).exp() / Decimal(math.factorial(m) * math.factorial(n)).sqrt()
+        return complex(float(Decimal(s * pr) * scale), float(Decimal(s * pi) * scale))
 
 
-@pytest.mark.parametrize("alpha, d", [(3j, 60), (4 + 2j, 96), (10, 400), (25, 1000)])
+@pytest.mark.parametrize("alpha, d", [(3j, 60), (4 + 2j, 96), (10, 400), (25, 1000), (39, 1800)])
 def test_displacement_block_matches_the_laguerre_closed_form(alpha, d):
+    # at |alpha| = 39 the diagonals that start below the normal doubles are
+    # carried by a scaled mantissa until they grow into range
     block = _displacement_block(complex(alpha), d)
     rng = np.random.default_rng(d)
     for m, n in [(0, 0), (d - 1, d - 1), (d - 1, 0), (0, d - 1)] + [
@@ -319,12 +338,16 @@ def test_squeeze_block_matches_a_large_expm(r, phi, d, dim, cols):
     assert np.max(np.abs(block[:, :cols] - big[:d, :cols])) <= 1e-13
 
 
-def test_displace_raises_where_the_vacuum_amplitude_underflows():
-    # e^(-|alpha|^2/2) is subnormal from |alpha| ~ 37.6 on
+def test_displace_past_the_vacuum_underflow():
+    # e^(-|alpha|^2/2) is subnormal from |alpha| ~ 37.6 on; D(39) still takes
+    # a coherent state back to the vacuum, and a far displacement leaks all mass
+    out = displace(coherent(-39.0, 1900), 39.0)
+    assert np.max(np.abs(out.amplitudes - fock(0, 1900).amplitudes)) <= 1e-10
     for state in (fock(0, 50), fock(0, 50).density()):
-        with pytest.raises(NumericalValidityError, match="not a normal double"):
-            displace(state, 38.0)
-    assert _displacement_block(37.0, 50)[0, 0] > 0
+        with pytest.raises(TruncationError, match="beyond leak_max"):
+            displace(state, 1000.0)
+        with pytest.raises(NumericalValidityError, match="not below 2\\^60"):
+            displace(state, 2.0 ** 31)
 
 
 def test_local_unitary_leakage_raises():
