@@ -7,6 +7,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,8 +21,9 @@ from .states import _squeezed_vacuum_amplitudes
 
 __all__ = [
     "BranchEnsemble", "ProtocolTrace", "browne_state",
-    "b_protocol_step", "b_protocol_run", "log_negativity",
-    "max_two_mode_ng", "renormalized_ng", "t_protocol_output",
+    "b_protocol_step", "b_protocol_iterates", "b_protocol_run", "entanglement_gain",
+    "iterate_delta_b", "log_negativity", "max_two_mode_ng", "renormalized_ng",
+    "t_protocol_output",
 ]
 
 
@@ -53,7 +55,8 @@ class BranchEnsemble:
         if isinstance(state, FockStateVector):
             if state.modes != 2:
                 raise ArgumentError("the protocol operates on two-mode states")
-            return BranchEnsemble(state.cutoff, ((1.0, state.amplitudes.copy()),))
+            return BranchEnsemble(state.cutoff, ((1.0, state.amplitudes.copy()),),
+                                  leakage=state.leakage)
         if state.modes != 2:
             raise ArgumentError("the protocol operates on two-mode states")
         lam, vec = np.linalg.eigh(state.matrix)
@@ -127,18 +130,20 @@ def browne_state(variant: str, lam: float, cutoff: int = 8) -> DensityMatrix:
 # iterated beam-splitter protocol
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
 def _vacuum_merge(d: int) -> np.ndarray:
     """merge[N, k*d + N-k] = <N, 0|B(pi/4)|k, N-k> for inputs below the cutoff d.
 
     A balanced beam splitter followed by projecting its second output onto
     vacuum maps |k, N-k> onto |N> with this weight, so one matrix product per
     side replaces the padded four-mode tensor; row N of each fixed-total block
-    is read from the ladder recursion.
+    is read from the ladder recursion.  Cached per cutoff and read-only.
     """
     merge = np.zeros((2 * d - 1, d * d))
     for n, block in enumerate(_bs_blocks(math.pi / 4, 2 * d - 2)):
         ks = np.arange(max(0, n - d + 1), min(n, d - 1) + 1)
         merge[n, ks * d + n - ks] = block[n, ks]
+    merge.setflags(write=False)
     return merge
 
 
@@ -197,34 +202,20 @@ def b_protocol_step(state) -> tuple[BranchEnsemble, float]:
     return out, success
 
 
-def _measurement_copy(rho: DensityMatrix) -> DensityMatrix:
-    # per-step measures run on the cropped, renormalized iterate, which is an
-    # exactly representable state; the trace's leakage column quantifies how
-    # far that iterate drifted from the ideal (uncropped) one
-    return DensityMatrix(rho.modes, rho.cutoff, rho.matrix)
-
-
-def b_protocol_run(state, steps: int, leak_budget: float | None = 1e-4) -> ProtocolTrace:
-    """Iterate the protocol, recording delta_B, E_N and the relative gain
-    Delta_i = (E_N^(i) - E_N^(0)) / E_N^(0) per step (NA when E_N^(0) = 0).
+def b_protocol_iterates(state, steps: int, leak_budget: float | None = 1e-4):
+    """Yield (step, ensemble, success probability) for steps 0 ... ``steps``;
+    step 0 is the input, with probability 1.
 
     Support grows with the step count, so the accumulated crop loss is
-    re-checked each step against ``leak_budget``.  Pass None to disable the
-    gate: near the photon-pumping regime the ideal iterate genuinely outgrows
-    any fixed cutoff, and the trace then discloses the loss in its leakage
-    column instead (its delta_B values remain far above any near-Gaussian
-    threshold there, so window classifications stay robust)."""
+    re-checked each step against ``leak_budget`` (TruncationError beyond it).
+    Pass None to disable the gate: near the photon-pumping regime the ideal
+    iterate genuinely outgrows any fixed cutoff, and each ensemble's leakage
+    then discloses the loss instead.  The checks run when iteration starts.
+    """
     if steps < 1:
         raise ArgumentError("steps must be >= 1")
     ens = BranchEnsemble.from_state(state)
-    rho0 = ens.to_density()
-    en0 = log_negativity(rho0)
-    rows = [{
-        "step": 0, "success_prob": 1.0,
-        "delta_B": delta_b(_measurement_copy(rho0)).value, "E_N": en0,
-        "Delta_i": 0.0 if en0 > 1e-12 else None,
-        "leakage": ens.leakage,
-    }]
+    yield 0, ens, 1.0
     for i in range(1, steps + 1):
         ens, prob = b_protocol_step(ens)
         if leak_budget is not None and ens.leakage > leak_budget:
@@ -232,14 +223,38 @@ def b_protocol_run(state, steps: int, leak_budget: float | None = 1e-4) -> Proto
                 f"accumulated protocol leakage {ens.leakage:.3e} exceeds the "
                 f"run budget {leak_budget:.0e} at step {i}; raise the cutoff "
                 "or pass leak_budget=None to accept truncated iterates")
+        yield i, ens, prob
+
+
+def iterate_delta_b(rho: DensityMatrix) -> float:
+    """delta_B of a protocol iterate's density, taken as the cropped,
+    renormalized state it is: an exactly representable state, so its leakage
+    is reset here and the ensemble's leakage reports how far that iterate
+    drifted from the ideal (uncropped) one."""
+    return delta_b(DensityMatrix(rho.modes, rho.cutoff, rho.matrix)).value
+
+
+def entanglement_gain(en: float, en0: float) -> float | None:
+    """Delta_i = (E_N^(i) - E_N^(0)) / E_N^(0); None when E_N^(0) = 0."""
+    return (en - en0) / en0 if en0 > 1e-12 else None
+
+
+def b_protocol_run(state, steps: int, leak_budget: float | None = 1e-4) -> ProtocolTrace:
+    """Iterate the protocol and measure every step: delta_B (``iterate_delta_b``),
+    E_N, the relative gain Delta_i (``entanglement_gain``) and the leakage.
+
+    The iterates and the ``leak_budget`` gate are ``b_protocol_iterates``'s;
+    callers that read only some of these columns or steps (figures 9 and 10)
+    loop over the iterates themselves and measure only what they read."""
+    rows = []
+    for i, ens, prob in b_protocol_iterates(state, steps, leak_budget):
         rho = ens.to_density()
         en = log_negativity(rho)
-        rows.append({
-            "step": i, "success_prob": prob,
-            "delta_B": delta_b(_measurement_copy(rho)).value, "E_N": en,
-            "Delta_i": (en - en0) / en0 if en0 > 1e-12 else None,
-            "leakage": ens.leakage,
-        })
+        if i == 0:
+            en0 = en
+        rows.append({"step": i, "success_prob": prob, "delta_B": iterate_delta_b(rho),
+                     "E_N": en, "Delta_i": entanglement_gain(en, en0),
+                     "leakage": ens.leakage})
     return ProtocolTrace(tuple(rows))
 
 

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from nongauss import (ArgumentError, DensityMatrix, FockStateVector,
-                      NumericalValidityError, delta_b, random_density_matrix)
-from nongauss.channels import apply_beam_splitter_tensor, squeeze
+                      NumericalValidityError, delta_b, figures, random_density_matrix)
+from nongauss.channels import apply_beam_splitter_tensor, displace, squeeze
 from nongauss.distillation import (BranchEnsemble, _vacuum_merge, b_protocol_run,
                                    b_protocol_step, browne_state, log_negativity,
                                    max_two_mode_ng, renormalized_ng,
                                    t_protocol_output)
-from nongauss.states import PNESSpec, pnes, vacuum
+from nongauss.fock import tensor
+from nongauss.states import PNESSpec, fock, pnes, vacuum
 
 
 def test_browne_states():
@@ -101,6 +102,52 @@ def test_b_protocol_step_matches_padded_beam_splitters(state):
     assert abs(prob - success) <= 1e-12
     expect /= np.trace(expect)
     assert np.max(np.abs(out.to_density().matrix - expect)) <= 1e-12
+
+
+def test_vacuum_merge_is_cached_read_only():
+    merge = _vacuum_merge(6)
+    assert merge is _vacuum_merge(6)
+    with pytest.raises(ValueError):
+        merge[0, 0] = 1.0
+    assert np.array_equal(merge, _vacuum_merge.__wrapped__(6))
+
+
+def test_protocol_keeps_a_vectors_leakage():
+    psi = tensor(displace(fock(1, 10), 0.6), fock(0, 10))
+    assert psi.leakage > 1e-10
+    assert BranchEnsemble.from_state(psi).leakage == psi.leakage
+    assert BranchEnsemble.from_state(psi.density()).leakage == psi.leakage
+    trace = b_protocol_run(psi, 1, leak_budget=None)
+    assert trace.steps[0]["leakage"] == psi.leakage
+    assert trace.steps[1]["leakage"] >= psi.leakage
+
+
+def _figure_point(number, monkeypatch):
+    """The per-point function figure ``number``'s builder hands to the pool."""
+    seen = []
+    monkeypatch.setattr(figures, "_parallel_map",
+                        lambda fn, items, threads=1: seen.append(fn) or [])
+    figures.FIGURES[number]()
+    return seen[0]
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.5])
+def test_fig9_point_equals_the_full_trace(lam, monkeypatch):
+    trace = b_protocol_run(browne_state("a", lam), 20, leak_budget=None)
+    expect = [[lam, s, trace.steps[s]["delta_B"], trace.steps[s]["leakage"]]
+              for s in (0, 5, 10, 20)]
+    assert _figure_point(9, monkeypatch)(lam) == expect
+
+
+@pytest.mark.parametrize("variant", ["a", "b"])
+def test_fig10_point_equals_the_full_trace(variant, monkeypatch):
+    state = browne_state(variant, 0.5)
+    dr = renormalized_ng(state)
+    gains = [r["Delta_i"] for r in b_protocol_run(state, 40, leak_budget=None).steps]
+    conv = next((s for s in range(2, 41) if abs(gains[s] - gains[s - 1]) < 1e-6), 40)
+    expect = [[variant, 0.5, str(s), dr, gains[s]] for s in (1, 2, 5)]
+    expect.append([variant, 0.5, "inf", dr, gains[conv]])
+    assert _figure_point(10, monkeypatch)((variant, 0.5)) == expect
 
 
 def test_b_protocol_run_records():

@@ -9,7 +9,7 @@ from nongauss import (DensityMatrix, beam_split, delta_a, delta_b, displace, los
 from nongauss.bounds import (PhotodetectionPOVM, detection_statistics, epsilon_a,
                              epsilon_b, epsilon_c, epsilon_d, epsilon_e)
 from nongauss.fock import tensor
-from nongauss.states import fock
+from nongauss.states import fock, thermal, vacuum
 
 D = 8  # per-mode cutoff; the random factors live below D // 2
 
@@ -33,6 +33,21 @@ def test_delta_b_invariant_under_beam_splitter(rho_a, rho_b, theta):
     mixed = beam_split(product, theta)
     assert mixed.leakage < 1e-12
     assert abs(delta_b(mixed).value - delta_b(product).value) <= 1e-6
+
+
+# Gaussian ancillas at the factors' cutoff; the thermal crop tail is 2.6e-11
+ANCILLAS = {"vacuum": vacuum(D).density(), "thermal": thermal(0.05, D)}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(factors, st.sampled_from(sorted(ANCILLAS)))
+def test_delta_b_ignores_a_gaussian_ancilla(rho, ancilla):
+    # delta_B(rho (x) tau_G) = delta_B(rho): the product's reference Gaussian is
+    # tau_rho (x) tau_G, and both entropies add over the factors
+    tau = ANCILLAS[ancilla]
+    alone = delta_b(rho).value
+    for product in (tensor(rho, tau), tensor(tau, rho)):
+        assert abs(delta_b(product).value - alone) <= 1e-6
 
 
 # -- the paper's identities for single-mode states -----------------------------
