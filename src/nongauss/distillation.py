@@ -13,9 +13,10 @@ import numpy as np
 
 from .config import tolerances
 from .errors import ArgumentError, NumericalValidityError, TruncationError
-from .fock import DensityMatrix, FockStateVector, State, partial_transpose
+from .fock import (DensityMatrix, FockStateVector, State, _log_factorials,
+                   partial_transpose)
 from .gaussian import _ladder
-from .channels import _bs_blocks, apply_beam_splitter_tensor
+from .channels import _bs_blocks
 from .measures import delta_b
 from .states import _squeezed_vacuum_amplitudes
 
@@ -305,48 +306,77 @@ def renormalized_ng(state) -> float:
 # ---------------------------------------------------------------------------
 
 def _suggest_subtraction_cutoff(r: float) -> int:
-    """Cutoff so the photon-number-weighted squeezed-vacuum tail stays below 1e-9."""
+    """Cutoff so the photon-number-weighted squeezed-vacuum tail stays below 1e-9.
+
+    The scan covers 4096 levels; the weighted mass beyond them, sinh^2 r less
+    what the scan holds, is added to every tail, so a squeezing whose tail the
+    scan cannot reach is rejected instead of cut at the window's last level.
+    """
     probe = np.abs(_squeezed_vacuum_amplitudes(r, 0.0, 4096)) ** 2
     weighted = probe * np.arange(probe.size)
-    tail = np.cumsum(weighted[::-1])[::-1]
+    beyond = max(math.sinh(r) ** 2 - float(weighted.sum()), 0.0)
+    tail = np.cumsum(weighted[::-1])[::-1] + beyond
     idx = np.flatnonzero(tail <= 1e-9)
     if idx.size == 0:
         raise ArgumentError(f"squeezing r = {r} too large for the scan window")
     return int(idx[0]) + 4
 
 
+def _vacuum_port_split(col: np.ndarray) -> np.ndarray:
+    """B(pi/4) sum_N col[N] |N>_A |0>_B as a (d, d) tensor with axes (nB, nA).
+
+    With one input port in vacuum the beam splitter follows the binomial law
+    U|N, 0> = sum_i sqrt(C(N, i)) c^i (-s)^(N-i) |i, N-i> (Campos, Saleh &
+    Teich, PRA 40, 1371 (1989)), in the sign convention of ``channels._bs_blocks``.
+    At c = s = 2^(-1/2) the weight of |i, N-i> is sqrt(C(N, i)) 2^(-N/2) times
+    (-1)^(N-i).  Input totals stay below d, and so do the outputs: nothing
+    is cropped.
+    """
+    d = col.size
+    n = np.arange(d)
+    total = n[:, None] + n                     # N = n_B + n_A, axes (nB, nA)
+    lf = _log_factorials(2 * d - 1)
+    log_w = 0.5 * (lf[total] - lf[:d, None] - lf[:d] - total * math.log(2.0))
+    sign = 1 - 2 * (n[:, None] % 2)             # (-1)^(N-i), N-i = n_B
+    padded = np.concatenate([col, np.zeros(d - 1, dtype=col.dtype)])  # col[N >= d] = 0
+    return sign * np.exp(log_w) * padded[total]
+
+
 def t_protocol_output(r: float, subtracted: str = "one") -> FockStateVector:
     """Output of the photon-subtraction distillation:
     N a_A^{n_A} a_B^{n_B} B(pi/4) S_A(r) |00>.
 
-    The operator-commuted form B(pi/4) a_A^{n_A+n_B} S_A(r)|00> is evaluated as
-    a built-in cross-check; the two must agree to 1e-8 up to a global phase.
+    S_A(r)|0> meets the beam splitter with its other port in vacuum, so both
+    forms below use the closed binomial law of ``_vacuum_port_split`` in O(d^2)
+    at the cutoff d of ``_suggest_subtraction_cutoff``.  The operator-commuted
+    form B(pi/4) a_A^{n_A+n_B} S_A(r)|00> is evaluated as a cross-check for one
+    more O(d^2) split; the two must agree to 1e-8 up to a global phase.
+
+    The leakage is the share of ||a^n S(r)|0>||^2 (n = n_A + n_B) that the
+    cutoff drops: 1 - ||a^n c||^2 / <a^dag^n a^n> for the kept amplitudes c,
+    with <a^dag a> = sinh^2 r and <a^dag^2 a^2> = 3 sinh^4 r + sinh^2 r.
     """
-    if r <= 0:
-        raise ArgumentError("squeezing r must be > 0")
+    if not (math.isfinite(r) and r > 0):
+        raise ArgumentError("squeezing r must be finite and > 0")
     if subtracted in ("one", "1", 1):
-        n_sub = (1, 0)
+        n = 1
     elif subtracted in ("two", "2", 2):
-        n_sub = (1, 1)
+        n = 2
     else:
         raise ArgumentError("subtracted must be 'one' or 'two'")
     d = _suggest_subtraction_cutoff(r)
     sv = _squeezed_vacuum_amplitudes(r, 0.0, d)
-    t = np.zeros((d, d), dtype=complex)   # axes (nB, nA)
-    t[0, :] = sv
-    a_axis, b_axis = 1, 0
 
-    # form 1: beam splitter first, then local subtraction
-    mixed = apply_beam_splitter_tensor(t, math.pi / 4, a_axis, b_axis)
-    out1 = _ladder(mixed, a_axis, lower=True) if n_sub[0] else mixed
-    if n_sub[1]:
-        out1 = _ladder(out1, b_axis, lower=True)
+    # form 1: beam splitter first, then a_A, and a_B for two (axes (nB, nA))
+    out1 = _ladder(_vacuum_port_split(sv), 1, lower=True)
+    if n == 2:
+        out1 = _ladder(out1, 0, lower=True)
 
-    # form 2: subtract a_A^(n_A + n_B) before the beam splitter
-    pre = t
-    for _ in range(sum(n_sub)):
-        pre = _ladder(pre, a_axis, lower=True)
-    out2 = apply_beam_splitter_tensor(pre, math.pi / 4, a_axis, b_axis)
+    # form 2: subtract a_A^n before the beam splitter
+    pre = sv
+    for _ in range(n):
+        pre = _ladder(pre, 0, lower=True)
+    out2 = _vacuum_port_split(pre)
 
     n1, n2 = np.linalg.norm(out1), np.linalg.norm(out2)
     if n1 < 1e-12 or n2 < 1e-12:
@@ -359,4 +389,7 @@ def t_protocol_output(r: float, subtracted: str = "one") -> FockStateVector:
     if mismatch > 1e-8:
         raise NumericalValidityError(
             f"commuted-form cross-check failed: mismatch {mismatch:.3e}")
-    return FockStateVector(2, d, out1.ravel())
+    nbar = math.sinh(r) ** 2
+    moment = nbar if n == 1 else 3.0 * nbar ** 2 + nbar   # <a^dag^n a^n>
+    kept = float(np.real(np.vdot(pre, pre)))
+    return FockStateVector(2, d, out1.ravel(), leakage=max(1.0 - kept / moment, 0.0))

@@ -1,15 +1,19 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
 from nongauss import (ArgumentError, DensityMatrix, FockStateVector,
                       NumericalValidityError, delta_b, figures, random_density_matrix)
 from nongauss.channels import apply_beam_splitter_tensor, displace, squeeze
-from nongauss.distillation import (BranchEnsemble, _vacuum_merge, b_protocol_run,
+from nongauss.distillation import (BranchEnsemble, _suggest_subtraction_cutoff,
+                                   _vacuum_merge, _vacuum_port_split, b_protocol_run,
                                    b_protocol_step, browne_state, log_negativity,
                                    max_two_mode_ng, renormalized_ng,
                                    t_protocol_output)
 from nongauss.fock import tensor
-from nongauss.states import PNESSpec, fock, pnes, vacuum
+from nongauss.states import PNESSpec, _squeezed_vacuum_amplitudes, fock, pnes, vacuum
 
 
 def test_browne_states():
@@ -112,6 +116,16 @@ def test_vacuum_merge_is_cached_read_only():
     assert np.array_equal(merge, _vacuum_merge.__wrapped__(6))
 
 
+@pytest.mark.parametrize("d", [8, 12])
+def test_vacuum_merge_rows_follow_the_binomial_law(d):
+    # <N, 0|B(pi/4)|k, N-k> = sqrt(C(N, k)) 2^(-N/2) for both inputs below d
+    expect = np.zeros((2 * d - 1, d * d))
+    for n in range(2 * d - 1):
+        for k in range(max(0, n - d + 1), min(n, d - 1) + 1):
+            expect[n, k * d + n - k] = math.sqrt(math.comb(n, k)) * 2.0 ** (-n / 2)
+    assert np.max(np.abs(_vacuum_merge(d) - expect)) <= 1e-14
+
+
 def test_protocol_keeps_a_vectors_leakage():
     psi = tensor(displace(fock(1, 10), 0.6), fock(0, 10))
     assert psi.leakage > 1e-10
@@ -140,14 +154,17 @@ def test_fig9_point_equals_the_full_trace(lam, monkeypatch):
 
 
 @pytest.mark.parametrize("variant", ["a", "b"])
-def test_fig10_point_equals_the_full_trace(variant, monkeypatch):
-    state = browne_state(variant, 0.5)
+@pytest.mark.parametrize("lam", [0.1, 0.5, 0.8])
+def test_fig10_point_equals_the_full_trace(lam, variant, monkeypatch):
+    # the figure stops each point at its convergence step; the full 40-step
+    # trace must give the same cells, at both ends of the grid and inside it
+    state = browne_state(variant, lam)
     dr = renormalized_ng(state)
     gains = [r["Delta_i"] for r in b_protocol_run(state, 40, leak_budget=None).steps]
     conv = next((s for s in range(2, 41) if abs(gains[s] - gains[s - 1]) < 1e-6), 40)
-    expect = [[variant, 0.5, str(s), dr, gains[s]] for s in (1, 2, 5)]
-    expect.append([variant, 0.5, "inf", dr, gains[conv]])
-    assert _figure_point(10, monkeypatch)((variant, 0.5)) == expect
+    expect = [[variant, lam, str(s), dr, gains[s]] for s in (1, 2, 5)]
+    expect.append([variant, lam, "inf", dr, gains[conv]])
+    assert _figure_point(10, monkeypatch)((variant, lam)) == expect
 
 
 def test_b_protocol_run_records():
@@ -219,6 +236,45 @@ def test_t_protocol_entanglement_trends():
     assert all(b > a for a, b in zip(en1, en1[1:]))   # entanglement grows with r
     assert all(b > a for a, b in zip(en2, en2[1:]))
     assert all(b > a for a, b in zip(db2, db2[1:]))   # two-photon nG grows too
+
+
+@pytest.mark.parametrize("d", [8, 30, 109, 245])
+def test_vacuum_port_split_matches_the_block_path(d):
+    rng = np.random.default_rng(d)
+    col = rng.normal(size=d) + 1j * rng.normal(size=d)
+    col /= np.linalg.norm(col)
+    t = np.zeros((d, d), dtype=complex)     # axes (nB, nA), B in vacuum
+    t[0, :] = col
+    expect = apply_beam_splitter_tensor(t, np.pi / 4, 1, 0)
+    assert np.max(np.abs(_vacuum_port_split(col) - expect)) <= 1e-13
+
+
+@pytest.mark.parametrize("r", [0.1, 0.8, 1.5])
+@pytest.mark.parametrize("subtracted", ["one", "two"])
+def test_t_protocol_reports_its_crop(r, subtracted):
+    psi = t_protocol_output(r, subtracted)
+    n = np.arange(4096)
+    weight = np.abs(_squeezed_vacuum_amplitudes(r, 0.0, 4096)) ** 2 * n
+    if subtracted == "two":
+        weight *= n - 1
+    expect = weight[psi.cutoff:].sum() / weight.sum()
+    assert abs(psi.leakage - expect) <= 1e-14
+
+
+def test_subtraction_cutoffs():
+    cutoffs = {0.1: 13, 0.3: 21, 0.5: 33, 0.7: 49, 0.8: 59, 0.9: 73, 1.1: 109,
+               1.3: 163, 1.5: 245, 2.0: 689, 2.8: 3617}
+    assert {r: _suggest_subtraction_cutoff(r) for r in cutoffs} == cutoffs
+
+
+@pytest.mark.parametrize("r", [3.0, 5.0, math.nan, math.inf])
+def test_t_protocol_rejects_squeezing_beyond_the_scan(r):
+    # r = 3 and 5 hold weighted mass beyond the 4096-level scan; nan and inf
+    # are not squeezings at all.  Each is refused before any state is built.
+    start = time.perf_counter()
+    with pytest.raises(ArgumentError):
+        t_protocol_output(r, "one")
+    assert time.perf_counter() - start < 5.0
 
 
 def test_branch_ensemble_round_trip():
