@@ -230,7 +230,7 @@ def cmd_measure(args) -> int:
     elif args.which == "deltaB":
         rep = delta_b(state)
     else:
-        if args.grid_half_width:
+        if args.grid_half_width is not None:
             grid = QuadratureGrid(args.grid_half_width)
         elif args.grid_auto == "covering":
             grid = QuadratureGrid.covering(state)

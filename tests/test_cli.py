@@ -233,6 +233,7 @@ def test_grid_spacing_applies_to_the_default_grid(tmp_path, capsys):
     ["sweep", "--family", "fock", "--param", "n=1", "--param", "n=2"],
     ["sweep", "--family", "fock", "--measure", "deltaB", "--param", "n=1:3:0"],
     ["measure", "deltaC", "--state", "fock:1", "--grid-spacing", "0"],
+    ["measure", "deltaC", "--state", "fock:1", "--cutoff", "20", "--grid-half-width", "0"],
     ["protocol", "browne", "--steps", "1", "--leak-budget", "x"],
     ["channel", "apply", "--channel", "loss:0.5,0.9", "--state", "fock:1"],
     ["channel", "apply", "--channel", "phasediff:0.2,0.1", "--state", "fock:1"],
@@ -241,8 +242,8 @@ def test_grid_spacing_applies_to_the_default_grid(tmp_path, capsys):
     ["channel", "apply", "--channel", "squeeze:0.5,0.3,1", "--state", "fock:1"],
 ], ids=["coherent-nan", "squeezed-inf", "json-syntax", "json-no-cutoff",
         "hist-row", "channel-nan", "sweep-param", "sweep-repeated-param",
-        "sweep-zero-count", "grid-spacing-0", "leak-budget", "loss-surplus",
-        "phasediff-surplus", "kerr-surplus", "displace-surplus", "squeeze-surplus"])
+        "sweep-zero-count", "grid-spacing-0", "grid-half-width-0", "leak-budget",
+        "loss-surplus", "phasediff-surplus", "kerr-surplus", "displace-surplus", "squeeze-surplus"])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     (tmp_path / "bad.json").write_text("{bad")
     (tmp_path / "no_cutoff.json").write_text('{"modes": 1, "re": [1.0], "im": [0.0]}')

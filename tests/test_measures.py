@@ -178,6 +178,66 @@ def test_husimi_of_a_high_fock_state_in_the_log_seeded_range():
     assert np.max(np.abs(got - ref) / ref) <= 1e-10
 
 
+@pytest.mark.parametrize("beta, cutoff, xs", [
+    # the Bargmann sum e^{conj(alpha) beta} cancels by at most e^{2|alpha||beta|}
+    # ~ 1e4 on this grid, so relative 1e-10 is within reach of any kernel
+    (1.0 + 0.5j, 60, np.linspace(-3.0, 3.0, 25)),
+    # |beta|^2 = 1500, past the e^{-|beta|^2/2} underflow: levels below 16 are
+    # exactly 0 and the partial sums pass e^709 on the way down unless rescaled
+    (np.sqrt(750.0) * (1 + 1j), 2200, np.sqrt(750.0) + np.linspace(-2.0, 2.0, 9)),
+], ids=["moderate", "underflow"])
+def test_husimi_of_a_coherent_state_is_the_shifted_gaussian(beta, cutoff, xs):
+    alphas = xs[:, None] + 1j * xs[None, :]
+    ref = np.exp(-np.abs(alphas - beta) ** 2) / np.pi
+    got = _husimi_on_grid(coherent(beta, cutoff), xs)
+    mask = ref > 1e-300
+    assert np.max(np.abs(got[mask] - ref[mask]) / ref[mask]) <= 1e-10
+
+
+def _random_vector(cutoff, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=cutoff) + 1j * rng.normal(size=cutoff)
+    return FockStateVector(1, cutoff, v / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("make", [lambda: squeeze(fock(3, 80), 0.7),
+                                  lambda: cat(1.5, 0.785, 60),
+                                  lambda: _random_vector(40, 11)],
+                         ids=["squeezed-fock", "cat", "random"])
+def test_husimi_of_a_vector_matches_its_density(make):
+    # the Horner kernel of a vector against the eigh and amplitude-matrix
+    # kernel of the same state as a density
+    psi = make()
+    xs = np.linspace(-6.0, 6.0, 121)
+    assert np.max(np.abs(_husimi_on_grid(psi, xs) - _husimi_on_grid(psi.density(), xs))) <= 1e-14
+
+
+def test_husimi_of_a_gapped_support_matches_the_dense_overlaps():
+    # occupied levels {0, 7, 30}: Horner steps over gaps 7 and 23
+    amps = np.zeros(40, dtype=complex)
+    amps[[0, 7, 30]] = [0.6, 0.48j, -0.64]
+    psi = FockStateVector(1, 40, amps)
+    xs = np.linspace(-7.0, 7.0, 141)
+    alphas = (xs[:, None] + 1j * xs[None, :]).ravel()
+    ref = np.abs(_coherent_amplitudes(alphas, 40).T @ amps.conj()) ** 2 / np.pi
+    assert np.max(np.abs(_husimi_on_grid(psi, xs) - ref.reshape(xs.size, xs.size))) <= 1e-14
+
+
+@pytest.mark.parametrize("half_width, spacing", [
+    (float("inf"), 0.05), (6.0, float("inf")), (float("nan"), 0.05), (0.0, 0.05), (6.0, -0.1)])
+def test_quadrature_grid_must_be_finite_and_positive(half_width, spacing):
+    with pytest.raises(ArgumentError, match="must be finite and positive"):
+        QuadratureGrid(half_width, spacing)
+
+
+def test_nan_quadrature_residual_fails_the_gate(monkeypatch):
+    from nongauss import measures
+    monkeypatch.setattr(measures, "_husimi_on_grid",
+                        lambda state, xs: np.full((xs.size, xs.size), np.nan))
+    with pytest.raises(NumericalValidityError, match="residual nan"):
+        delta_c(fock(1, 10), grid=QuadratureGrid(6.0))
+
+
 def test_conjecture_sweep():
     summary = conjecture_a5_sweep(150, [5, 8], seed=3)
     for d, stats in summary.items():
