@@ -1,9 +1,9 @@
 """Command-line front end: build states, apply channels, compute measures and
 bounds, run the distillation protocols, and emit per-figure CSV datasets.
 
-Exit codes: 0 success, 2 argument error, 3 numerical-validity error,
-4 truncation/resource error.  With --json-errors a machine-readable error
-object is printed to stderr.
+Exit codes: 0 success, 1 standard output closed by its reader, 2 argument error,
+3 numerical-validity error, 4 truncation/resource error.  With --json-errors a
+machine-readable error object is printed to stderr.
 """
 
 from __future__ import annotations
@@ -12,27 +12,27 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import config
-from .channels import ChannelSpec, apply_channel
+from . import channels, config, states
+from .channels import _OPERATIONS, ChannelSpec, _signature, apply_channel
 from .distillation import (b_protocol_run, browne_state, log_negativity,
                            t_protocol_output)
-from .errors import ArgumentError, NonGaussError, TruncationError
-from .fock import (DensityMatrix, FockStateVector, MeasureReport, _log_factorials, as_density,
-                   purity, von_neumann_entropy)
+from .errors import ArgumentError, NonGaussError
+from .fock import (DensityMatrix, FockStateVector, MeasureReport, as_density, purity,
+                   von_neumann_entropy)
 from .figures import _parallel_map, build_figure
 from .gaussian import moments
 from .measures import QuadratureGrid, delta_a, delta_b, delta_c
-from .states import (PNESSpec, cat, coherent, diagonal_mixture, fock,
-                     fock_superposition, pnes, squeezed_vacuum, thermal, vacuum)
+from .states import PNESSpec, pnes
 
 DEFAULT_CUTOFF = 40
-_POISSON_SCAN_MAX = 1 << 16  # longest Poisson profile scanned for the tail check
 
 
 # ---------------------------------------------------------------------------
@@ -60,48 +60,61 @@ def _parse_complex(text: str) -> complex:
     return value
 
 
+# state family -> its constructor in `states`, looked up at each call as apply_channel does
+_FAMILIES = {"fock": "fock", "coherent": "coherent", "thermal": "thermal",
+             "squeezed": "squeezed_vacuum", "cat": "cat", "psi": "fock_superposition",
+             "vacuum": "vacuum", "poisson": "poisson"}
+# the CLI supplies the cutoff, and one mode: vacuum(40, 7) would allocate 40^7 amplitudes
+_STATE_SUPPLIED = ("cutoff", "modes")
+
+# annotation -> parser of one spec argument; a tuple[int, int] parameter takes two
+_PARSERS = {int: int, float: finite_float, complex: _parse_complex}
+
+
+def _parameters(fn, supplied: tuple) -> list:
+    """fn's parameters but those named in `supplied`, in signature order."""
+    return [p for p in _signature(fn).parameters.values() if p.name not in supplied]
+
+
+def _bind(fn, name: str, args: list, supplied: tuple) -> dict:
+    """fn's keyword arguments from the spec `name:args`, bound in signature order
+    to its parameters but `supplied`: a text argument parsed by the parameter's
+    annotation, a number (sweep's) cast to it, which must keep its value."""
+    params = _parameters(fn, supplied)
+    types = [typing.get_args(p.annotation) or (p.annotation,) for p in params]
+    required = sum(p.default is p.empty for p in params)
+    counts = [sum(map(len, types[:i])) for i in range(required, len(params) + 1)]
+    if len(args) not in counts:
+        takes = f"at most {counts[-1]}" if len(args) > counts[-1] else " or ".join(map(str, counts))
+        raise ArgumentError(f"{name} takes {takes} argument(s), got {len(args)}")
+    kwargs = {}
+    for p, ts in zip(params, types):
+        if not args:
+            break
+        given, args = tuple(args[:len(ts)]), args[len(ts):]
+        values = tuple(_PARSERS[t](a) if isinstance(a, str) else t(a) for t, a in zip(ts, given))
+        if not isinstance(given[0], str) and values != given:
+            raise ArgumentError(f"{p.name} = {given[0]!r} is not of type {ts[0].__name__}")
+        kwargs[p.name] = values if len(ts) > 1 else values[0]
+    return kwargs
+
+
+def _family_state(name: str, args: list, cutoff: int):
+    fn = getattr(states, _FAMILIES[name])
+    return fn(**_bind(fn, name, args, _STATE_SUPPLIED), cutoff=cutoff)
+
+
 def parse_state(spec: str, cutoff: int):
-    """fock:N | coherent:A | thermal:N | squeezed:R[,PHI] | cat:A,PHI | psi:N,K |
-    vacuum | poisson:LAM | pnes:FAMILY:X | browne:V:LAM | path to a state JSON."""
+    """A state from the CLI syntax STATE_SYNTAX."""
     if spec.startswith("@") or spec.endswith(".json"):
         path = Path(spec.lstrip("@"))
         if not path.exists():
             raise ArgumentError(f"state file {path} not found")
         return _state_from_json(path.read_text())
     name, _, rest = spec.partition(":")
-    args = rest.split(",") if rest else []
     try:
-        if name == "vacuum":
-            return vacuum(cutoff)
-        if name == "fock":
-            return fock(int(args[0]), cutoff)
-        if name == "coherent":
-            return coherent(_parse_complex(args[0]), cutoff)
-        if name == "thermal":
-            return thermal(finite_float(args[0]), cutoff)
-        if name == "squeezed":
-            phi = finite_float(args[1]) if len(args) > 1 else 0.0
-            return squeezed_vacuum(finite_float(args[0]), cutoff, phi)
-        if name == "cat":
-            return cat(_parse_complex(args[0]), finite_float(args[1]), cutoff)
-        if name == "psi":
-            return fock_superposition(int(args[0]), int(args[1]), cutoff)
-        if name == "poisson":
-            lam = finite_float(args[0])
-            if lam < 0:
-                raise ArgumentError("mean photon number must be >= 0")
-            if lam == 0:
-                return vacuum(cutoff).density()
-            # scan 12 standard deviations past the mean, so that the tail check
-            # and its minimal-cutoff hint see the whole profile, and normalize
-            # in log space, where no weight underflows to a 0/0
-            levels = max(4 * cutoff, 256, math.ceil(lam + 12 * math.sqrt(lam) + 12))
-            if levels > _POISSON_SCAN_MAX:
-                raise TruncationError(f"poisson({lam}): the photon-number profile "
-                                      f"extends beyond {_POISSON_SCAN_MAX} levels")
-            logw = np.arange(levels) * math.log(lam) - _log_factorials(levels)
-            w = np.exp(logw - logw.max())
-            return diagonal_mixture(w / w.sum(), cutoff)
+        if name in _FAMILIES:
+            return _family_state(name, rest.split(",") if rest else [], cutoff)
         if name == "pnes":
             family, _, param = rest.partition(":")
             return pnes(PNESSpec(family, finite_float(param), cutoff))
@@ -131,39 +144,38 @@ def _state_from_json(text: str):
     raise ArgumentError("state JSON length matches neither a vector nor a matrix")
 
 
-CHANNEL_SYNTAX = ("loss:ETA (0 <= ETA <= 1) | phasediff:DELTA (DELTA >= 0) | kerr:GAMMA "
-                  "| displace:ALPHA (complex) | squeeze:R[,PHI] | beamsplit[:THETA[,M0,M1]] "
-                  "(THETA defaults to pi/4, modes M0, M1 to 0, 1)")
-
-
 def parse_channel(spec: str) -> ChannelSpec:
     """A ChannelSpec from the CLI syntax CHANNEL_SYNTAX."""
     name, _, rest = spec.partition(":")
-    args = rest.split(",") if rest else []
-    most = {"loss": 1, "phasediff": 1, "phase_diffusion": 1, "kerr": 1, "displace": 1,
-            "squeeze": 2, "beamsplit": 3}   # arguments each channel takes at most
-    if name not in most:
+    kind = "phase_diffusion" if name == "phasediff" else name
+    if kind not in _OPERATIONS:
         raise ArgumentError(f"unknown channel {name!r}")
-    if len(args) > most[name]:
-        raise ArgumentError(f"malformed channel spec {spec!r}: {name} takes at most "
-                            f"{most[name]} argument(s), got {len(args)}")
     try:
-        if name == "loss":
-            return ChannelSpec.loss(finite_float(args[0]))
-        if name in ("phasediff", "phase_diffusion"):
-            return ChannelSpec.phase_diffusion(finite_float(args[0]))
-        if name == "kerr":
-            return ChannelSpec.kerr(finite_float(args[0]))
-        if name == "displace":
-            return ChannelSpec("displace", {"alpha": _parse_complex(args[0])})
-        if name == "squeeze":
-            phi = finite_float(args[1]) if len(args) > 1 else 0.0
-            return ChannelSpec("squeeze", {"r": finite_float(args[0]), "phi": phi})
-        theta = finite_float(args[0]) if args else math.pi / 4
-        modes = tuple(int(a) for a in args[1:]) or (0, 1)
-        return ChannelSpec("beamsplit", {"theta": theta, "modes": modes})
-    except (IndexError, ValueError) as exc:
+        op = getattr(channels, _OPERATIONS[kind])
+        return ChannelSpec(kind, _bind(op, name, rest.split(",") if rest else [], ("state",)))
+    except ValueError as exc:
         raise ArgumentError(f"malformed channel spec {spec!r}: {exc}") from None
+
+
+def _syntax(name: str, fn, supplied: tuple) -> str:
+    """name's spec syntax read off fn's signature, as squeeze:R[,PHI=0[,MODE=0]]."""
+    text, close = name, ""
+    for i, p in enumerate(_parameters(fn, supplied)):
+        arg = ("," if i else ":") + p.name.upper()
+        arg += "(complex)" if p.annotation is complex else ""
+        if p.default is not p.empty:
+            arg = f"[{arg}=" + ",".join(f"{v:g}" for v in np.atleast_1d(p.default))
+            close += "]"
+        text += arg
+    return text + close
+
+
+STATE_SYNTAX = " | ".join(
+    [_syntax(name, getattr(states, fn), _STATE_SUPPLIED) for name, fn in _FAMILIES.items()]
+    + ["pnes:FAMILY:X (FAMILY twin_beam, tmc, pssv or pasv)", "browne:V:LAM (V a or b)",
+       "PATH.json or @PATH of a state JSON"])
+CHANNEL_SYNTAX = " | ".join([_syntax(kind, getattr(channels, op), ("state",))
+                             for kind, op in _OPERATIONS.items()] + ["phasediff:DELTA"])
 
 
 # ---------------------------------------------------------------------------
@@ -271,36 +283,27 @@ def cmd_protocol(args) -> int:
 
 def cmd_bound(args) -> int:
     which = args.which.upper()
-    if which == "A":
-        if args.hist:
-            rows = []
-            for line in Path(args.hist).read_text().splitlines():
-                line = line.strip()
-                if not line or line.startswith("#") or line.lower().startswith("m,"):
-                    continue
-                try:
-                    m, c = line.split(",")
-                    rows.append((int(m), finite_float(c)))
-                except ValueError:
-                    raise ArgumentError(f"malformed histogram row {line!r}") from None
-            q = bounds_mod.histogram_to_distribution(rows)
-        else:
-            state = parse_state(args.state, args.cutoff)
-            povm = bounds_mod.PhotodetectionPOVM(args.eta, state.cutoff)
-            q = bounds_mod.detection_statistics(state, povm)
-        value = bounds_mod.epsilon_a(q)
+    if which == "A" and args.hist:
+        rows = []
+        for line in Path(args.hist).read_text().splitlines():
+            line = line.strip()
+            if not line or line.startswith("#") or line.lower().startswith("m,"):
+                continue
+            try:
+                m, c = line.split(",")
+                rows.append((int(m), finite_float(c)))
+            except ValueError:
+                raise ArgumentError(f"malformed histogram row {line!r}") from None
+        value = bounds_mod.epsilon_a(bounds_mod.histogram_to_distribution(rows))
+    elif args.state is None:
+        raise ArgumentError(f"bound {which} needs --state" + (" or --hist" if which == "A" else ""))
     else:
-        state = parse_state(args.state, args.cutoff)
-        if which == "B":
-            value = bounds_mod.epsilon_b(state)
-        elif which == "C":
-            value = bounds_mod.epsilon_c(state, args.eta)
-        elif which == "D":
-            value = bounds_mod.epsilon_d(state)
-        elif which == "E":
-            value = bounds_mod.epsilon_e(state, args.eta)
-        else:
-            raise ArgumentError(f"unknown bound {args.which!r}; choose A..E")
+        data = parse_state(args.state, args.cutoff)
+        if which == "A":   # epsilon_A reads the photocount distribution
+            data = bounds_mod.detection_statistics(
+                data, bounds_mod.PhotodetectionPOVM(args.eta, data.cutoff))
+        fn = getattr(bounds_mod, f"epsilon_{which.lower()}")
+        value = fn(data, **({"eta": args.eta} if "eta" in _signature(fn).parameters else {}))
     value = _in_log_base(value, args)
     print(f"{value:.6f}")
     if args.out:
@@ -341,15 +344,8 @@ def cmd_sweep(args) -> int:
     for name in names:
         mesh = [m + [float(v)] for m in mesh for v in params[name]]
 
-    def spec_for(values):
-        if args.family in ("fock", "psi"):
-            parts = [str(int(v)) for v in values]
-        else:
-            parts = [f"{v!r}".strip("'") for v in values]
-        return args.family + ":" + ",".join(parts)
-
     def run(values):
-        state = parse_state(spec_for(values), args.cutoff)
+        state = _family_state(args.family, values, args.cutoff)
         if args.measure == "deltaA":
             return delta_a(state).value
         if args.measure == "deltaB":
@@ -416,12 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("state", help="build or inspect a state", parents=[common])
     sp.add_argument("action", choices=["build", "inspect"])
-    sp.add_argument("--state", required=True)
+    sp.add_argument("--state", required=True, help=STATE_SYNTAX)
     sp.set_defaults(fn=cmd_state)
 
     sp = sub.add_parser("measure", help="compute deltaA, deltaB or deltaC", parents=[common])
     sp.add_argument("which", choices=["deltaA", "deltaB", "deltaC"])
-    sp.add_argument("--state", required=True)
+    sp.add_argument("--state", required=True, help=STATE_SYNTAX)
     sp.add_argument("--grid-half-width", type=finite_float, default=None)
     sp.add_argument("--grid-spacing", type=finite_float, default=0.05)
     sp.add_argument("--grid-auto", choices=["default", "covering"], default="default")
@@ -430,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("channel", help="apply a channel to a state", parents=[common])
     sp.add_argument("apply", choices=["apply"])
     sp.add_argument("--channel", required=True, help=CHANNEL_SYNTAX)
-    sp.add_argument("--state", required=True)
+    sp.add_argument("--state", required=True, help=STATE_SYNTAX)
     sp.set_defaults(fn=cmd_channel)
 
     sp = sub.add_parser("protocol", help="run a distillation protocol", parents=[common])
@@ -447,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bound", help="measurable lower bounds A..E", parents=[common])
     sp.add_argument("which", choices=list("ABCDE") + list("abcde"))
-    sp.add_argument("--state", default=None)
+    sp.add_argument("--state", default=None, help=STATE_SYNTAX)
     sp.add_argument("--hist", default=None, help="CSV of m,count rows (bound A)")
     sp.add_argument("--eta", type=finite_float, default=1.0)
     sp.set_defaults(fn=cmd_bound)
@@ -457,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_figure)
 
     sp = sub.add_parser("sweep", help="generic grid runner over a state family", parents=[common])
-    sp.add_argument("--family", required=True)
+    sp.add_argument("--family", required=True, choices=list(_FAMILIES))
     sp.add_argument("--measure", choices=["deltaA", "deltaB", "deltaC"],
                     default="deltaB")
     sp.add_argument("--param", action="append", required=True,
@@ -483,7 +479,14 @@ def main(argv=None) -> int:
             if not hasattr(args, key):
                 setattr(args, key, default)
         with config.using(args.tolerance_profile):   # the profile is scoped to this run
-            return args.fn(args)
+            code = args.fn(args)
+        sys.stdout.flush()   # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output: point it at os.devnull, so that the flush
+        # at interpreter exit has no pipe to fail on (the SIGPIPE note of Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except NonGaussError as exc:
         if getattr(args, "json_errors", False):
             sys.stderr.write(json.dumps({

@@ -15,12 +15,13 @@ from .gaussian import GaussianData, h, thermal_weights
 
 __all__ = [
     "vacuum", "fock", "coherent", "thermal", "squeezed_vacuum",
-    "fock_superposition", "diagonal_mixture", "cat",
+    "fock_superposition", "diagonal_mixture", "poisson", "cat",
     "PNESSpec", "pnes", "pnes_coefficients", "pnes_structured_cm", "pnes_entanglement",
     "delta_a_diagonal", "delta_b_diagonal",
 ]
 
 _TAIL_SCAN = 4096  # how far coefficient tails are scanned before giving up
+_POISSON_SCAN_MAX = 1 << 16  # longest Poisson profile scanned for the tail check
 
 
 def _check_tail(weights: np.ndarray, cutoff: int, what: str) -> None:
@@ -177,6 +178,23 @@ def diagonal_mixture(weights, cutoff: int) -> DensityMatrix:
     w = np.zeros(cutoff)
     w[:min(cutoff, q.size)] = q[:cutoff]
     return DensityMatrix(1, cutoff, np.diag(w / w.sum()).astype(complex))
+
+
+def poisson(lam: float, cutoff: int) -> DensityMatrix:
+    """The Fock-diagonal state with Poisson(lam) photon-number statistics."""
+    if lam < 0:
+        raise ArgumentError("mean photon number must be >= 0")
+    if lam == 0:
+        return vacuum(cutoff).density()
+    # scan 12 standard deviations past the mean, for the tail check and its hint,
+    # and normalize in log space, where no weight underflows to a 0/0
+    levels = max(4 * cutoff, 256, math.ceil(lam + 12 * math.sqrt(lam) + 12))
+    if levels > _POISSON_SCAN_MAX:
+        raise TruncationError(f"poisson({lam}): the photon-number profile "
+                              f"extends beyond {_POISSON_SCAN_MAX} levels")
+    logw = np.arange(levels) * math.log(lam) - _log_factorials(levels)
+    w = np.exp(logw - logw.max())
+    return diagonal_mixture(w / w.sum(), cutoff)
 
 
 def delta_a_diagonal(weights) -> float:

@@ -10,7 +10,7 @@ import pytest
 import nongauss
 from nongauss import config
 from nongauss.cli import main, parse_channel, parse_state
-from nongauss.errors import ArgumentError
+from nongauss.errors import ArgumentError, TruncationError
 from nongauss.fock import DensityMatrix, FockStateVector
 
 
@@ -240,10 +240,22 @@ def test_grid_spacing_applies_to_the_default_grid(tmp_path, capsys):
     ["channel", "apply", "--channel", "kerr:0.1,1", "--state", "fock:1"],
     ["channel", "apply", "--channel", "displace:0.3,1", "--state", "fock:1"],
     ["channel", "apply", "--channel", "squeeze:0.5,0.3,1", "--state", "fock:1"],
+    ["channel", "apply", "--channel", "displace:0.3,1,2", "--state", "fock:1"],
+    ["channel", "apply", "--channel", "squeeze:0.5,0.3,1,2", "--state", "fock:1"],
+    ["measure", "deltaB", "--state", "fock:1,2"],
+    ["measure", "deltaB", "--state", "thermal:0.5,0.1"],
+    ["measure", "deltaB", "--state", "coherent:1,5"],
+    ["measure", "deltaB", "--state", "squeezed:0.5,0.3,9"],
+    ["measure", "deltaA", "--state", "vacuum:7"],
+    ["bound", "B"],
+    ["bound", "A"],
 ], ids=["coherent-nan", "squeezed-inf", "json-syntax", "json-no-cutoff",
         "hist-row", "channel-nan", "sweep-param", "sweep-repeated-param",
         "sweep-zero-count", "grid-spacing-0", "grid-half-width-0", "leak-budget",
-        "loss-surplus", "phasediff-surplus", "kerr-surplus", "displace-surplus", "squeeze-surplus"])
+        "loss-surplus", "phasediff-surplus", "kerr-surplus", "displace-surplus", "squeeze-surplus",
+        "displace-true-surplus", "squeeze-true-surplus", "fock-surplus", "thermal-surplus",
+        "coherent-surplus", "squeezed-surplus", "vacuum-surplus", "bound-B-no-state",
+        "bound-A-no-state"])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     (tmp_path / "bad.json").write_text("{bad")
     (tmp_path / "no_cutoff.json").write_text('{"modes": 1, "re": [1.0], "im": [0.0]}')
@@ -251,6 +263,54 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv):
     code, out, err = run(capsys, *[a.format(dir=tmp_path) for a in argv])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("channel, op, kwargs", [
+    ("squeeze:0.3,0.2,1", "squeeze", {"r": 0.3, "phi": 0.2}),
+    ("displace:0.2+0.1j,1", "displace", {"alpha": 0.2 + 0.1j}),
+], ids=["squeeze", "displace"])
+@pytest.mark.parametrize("cutoff", [12, 16])
+def test_channel_selects_a_mode(capsys, channel, op, kwargs, cutoff):
+    # at cutoff 12 squeeze leaks 1.5e-5 past the cutoff, beyond leak_max:
+    # the library raises and the CLI exits 4
+    from nongauss import channels
+    from nongauss.states import PNESSpec, pnes
+    code, out, _ = run(capsys, "channel", "apply", "--channel", channel,
+                       "--state", "pnes:tmc:1.0", "--cutoff", str(cutoff))
+    try:
+        expected = getattr(channels, op)(pnes(PNESSpec("tmc", 1.0, cutoff)), **kwargs, mode=1)
+    except TruncationError:
+        assert code == 4 and out == ""
+    else:
+        assert code == 0 and out == expected.to_json() + "\n"
+
+
+def test_help_lists_every_channel_kind_and_state_family(capsys):
+    from nongauss import channels, cli
+    with pytest.raises(SystemExit) as exc:
+        main(["channel", "apply", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for kind in channels._OPERATIONS:
+        assert f"{kind}:" in text or f"{kind}[:" in text
+    for family in cli._FAMILIES:
+        assert family in text
+
+
+def test_sweep_rejects_a_non_integral_value_for_an_integer_parameter(capsys):
+    code, out, err = run(capsys, "sweep", "--family", "fock", "--param", "n=1:2:3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "n = 1.5" in err
+
+
+def test_closed_standard_output_exits_quietly():
+    env = dict(os.environ, PYTHONPATH=str(Path(nongauss.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "nongauss.cli", "measure", "deltaB",
+                             "--state", "fock:1"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()   # no reader is left when the result is written
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1 and err == b""
 
 
 def test_non_finite_option_is_a_usage_error(capsys):
