@@ -9,7 +9,6 @@ machine-readable error object is printed to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -29,7 +28,8 @@ from .fock import (DensityMatrix, FockStateVector, MeasureReport, as_density, pu
                    von_neumann_entropy)
 from .figures import _parallel_map, build_figure
 from .gaussian import moments
-from .measures import QuadratureGrid, delta_a, delta_b, delta_c
+from .measures import (QuadratureGrid, _covering_half_width, _energy_half_width,
+                       delta_a, delta_b, delta_c)
 from .states import PNESSpec, pnes
 
 DEFAULT_CUTOFF = 40
@@ -243,12 +243,12 @@ def cmd_measure(args) -> int:
         rep = delta_b(state)
     else:
         if args.grid_half_width is not None:
-            grid = QuadratureGrid(args.grid_half_width)
+            half_width = args.grid_half_width
         elif args.grid_auto == "covering":
-            grid = QuadratureGrid.covering(state)
+            half_width = _covering_half_width(state)
         else:
-            grid = QuadratureGrid.for_state(state)
-        rep = delta_c(state, grid=dataclasses.replace(grid, spacing=args.grid_spacing))
+            half_width = _energy_half_width(state)
+        rep = delta_c(state, grid=QuadratureGrid(half_width, args.grid_spacing))
     if args.which != "deltaA":   # delta_A is unitless
         rep = MeasureReport(_in_log_base(rep.value, args), rep.diagnostics)
     print(f"{rep.value:.6f}")

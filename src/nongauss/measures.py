@@ -85,6 +85,9 @@ def _delta_b_from_moments(rho: State, g: GaussianData) -> MeasureReport:
 # Wehrl measure
 # ---------------------------------------------------------------------------
 
+_MAX_GRID_SIDE = 4096   # points per side: about 4x fig 2's largest covering grid (945)
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Uniform square phase-space grid for the Husimi quadrature."""
@@ -96,6 +99,12 @@ class QuadratureGrid:
         if not (0 < self.half_width < math.inf and 0 < self.spacing < math.inf):
             raise ArgumentError(f"grid half-width {self.half_width} and spacing "
                                 f"{self.spacing} must be finite and positive")
+        span = 2 * self.half_width / self.spacing   # the side is floor(span) + 1
+        if not span < _MAX_GRID_SIDE:
+            side = math.floor(span) + 1 if span < math.inf else span
+            raise ArgumentError(f"grid half-width {self.half_width} at spacing "
+                                f"{self.spacing} has {side:g} points per side, above "
+                                f"the limit of {_MAX_GRID_SIDE}")
 
     def points(self):
         n = int(math.floor(2 * self.half_width / self.spacing)) + 1
@@ -104,7 +113,7 @@ class QuadratureGrid:
 
     @staticmethod
     def for_state(state: State) -> "QuadratureGrid":
-        return QuadratureGrid(math.sqrt(2.0 * (state.energy() + 1.0)) + 5.0)
+        return QuadratureGrid(_energy_half_width(state))
 
     @staticmethod
     def covering(state: State) -> "QuadratureGrid":
@@ -112,11 +121,21 @@ class QuadratureGrid:
         plus the displacement and a margin of 1; use this
         for strongly squeezed states, whose Q function outgrows the default
         energy-based square."""
-        g = moments(state)
-        k = g.sigma + 0.5 * np.eye(2)
-        spread = math.sqrt(float(np.linalg.eigvalsh(k)[-1]) / 2.0)
-        center = float(np.linalg.norm(g.X)) / math.sqrt(2.0)
-        return QuadratureGrid(5.5 * spread + center + 1.0)
+        return QuadratureGrid(_covering_half_width(state))
+
+
+# the half-widths of the two automatic grids, apart from their default spacing,
+# whose side may pass _MAX_GRID_SIDE where a coarser one would not
+def _energy_half_width(state: State) -> float:
+    return math.sqrt(2.0 * (state.energy() + 1.0)) + 5.0
+
+
+def _covering_half_width(state: State) -> float:
+    g = moments(state)
+    k = g.sigma + 0.5 * np.eye(2)
+    spread = math.sqrt(float(np.linalg.eigvalsh(k)[-1]) / 2.0)
+    center = float(np.linalg.norm(g.X)) / math.sqrt(2.0)
+    return 5.5 * spread + center + 1.0
 
 
 _HORNER_POINTS = 20000   # grid points per chunk: Horner's working vectors stay in cache
@@ -124,62 +143,102 @@ _LOG_BOUND = 600.0       # partial sums are rescaled before |p| could pass e^600
 
 
 def _husimi_on_grid(state: State, xs: np.ndarray) -> np.ndarray:
-    """Q(alpha) = <alpha|rho|alpha>/pi on the grid xs x xs.
+    """Q(alpha) = <alpha|rho|alpha>/pi on the grid xs x xs, rows Re alpha and
+    columns Im alpha.
 
-    A vector goes through its Bargmann function <alpha|psi> = e^{-|z|^2/2}
-    sum_n psi_n z^n/sqrt(n!), z = conj(alpha), by Horner's rule over the
-    occupied levels only: p <- p z^(m-n) sqrt(n!/m!) + psi_n between neighbours
-    n < m, with z^g cached per gap; P points cost P complex multiply-adds per
-    occupied level and no amplitude matrix.  A bound on |p| moves the sums into
-    a per-point log scale s before they could overflow, and Q = exp(2 ln|p| +
-    2s + n_0 ln|z|^2 - ln n_0! - |z|^2)/pi is assembled in log space.
+    The kernels fill only the block that the state's symmetries leave open,
+    decided from the inputs alone.  On an exactly mirrored grid (xs == -xs
+    reversed) a state with exactly real coefficients has Q(x, -y) = Q(x, y),
+    so only the y >= 0 columns are computed; if it also has a definite parity
+    (a vector's occupied levels all even or all odd, a density's nonzero
+    entries all at even m - n), Q(-x, y) = Q(x, y) as well and only the
+    x >= 0 rows of those columns are.  Every other state or grid takes the
+    whole square.
 
-    A density keeps the amplitude-matrix kernel: one eigh, then row chunks of
-    about 1e6 coherent amplitudes (16 MB; 64 MB chunks took twice as long on
-    the wehrl benchmark) reduced by a BLAS product with the kept eigenvectors.
+    A vector's mirrored values equal, bit for bit, the ones its kernel gives
+    at those points, since the kernel's operations commute with z -> conj(z)
+    and z -> -z; a density's may differ in the last bits, as BLAS products of
+    another shape round differently.
     """
     q = np.empty((xs.size, xs.size))
     if isinstance(state, FockStateVector):
-        psi, levels = state.amplitudes, np.flatnonzero(state.amplitudes)
-        lnr = math.log(max(math.sqrt(2.0) * float(np.abs(xs).max()), 1.0))   # |z| <= e^lnr
-        if lnr > 0:   # split long gaps: no single step may pass e^_LOG_BOUND
-            levels = np.union1d(levels, np.arange(levels[0], levels[-1], int(_LOG_BOUND / lnr)))
-        lf, n0 = _log_factorials(int(levels[-1]) + 1), int(levels[0])
-        gaps = np.diff(levels).tolist()
-        steps = list(zip(gaps, (-0.5 * np.diff(lf[levels])).tolist(), psi[levels[:-1]]))
-        rows = max(1, _HORNER_POINTS // xs.size)
-        for lo in range(0, xs.size, rows):
-            z = (xs[lo:lo + rows, None] - 1j * xs[None, :]).ravel()
-            powers = {g: z ** g for g in set(gaps)}
-            p = np.full(z.size, psi[levels[-1]])
-            s, inv, logb = 0.0, 1.0, 0.0   # inv = e^{-s}, |p| <= e^logb
-            for g, lnc, a in reversed(steps):
-                if logb + g * lnr + lnc > _LOG_BOUND:
-                    m = np.maximum(np.abs(p), 1.0)
-                    p, s, logb = p / m, s + np.log(m), 0.0
-                    inv = np.exp(-s)
-                p *= math.exp(lnc)
-                p *= powers[g]
-                p += a * inv
-                logb = float(np.logaddexp(logb + g * lnr + lnc, 0.0))   # |a inv| <= 1
-            mod2 = z.real ** 2 + z.imag ** 2
-            with np.errstate(divide="ignore"):   # p = 0 or z = 0 give Q = 0
-                lnq = 2.0 * (np.log(np.abs(p)) + s) - mod2 - lf[n0]
-                if n0:
-                    lnq += n0 * np.log(mod2)
-            q[lo:lo + rows] = np.exp(lnq).reshape(-1, xs.size) / math.pi
-        return q
-    d = state.cutoff
-    lam, vec = np.linalg.eigh(state.matrix)
+        coeffs, kernel = state.amplitudes, _bargmann_husimi
+    else:
+        coeffs, kernel = state.matrix, _density_husimi
+    col0 = xs.size // 2 if np.array_equal(xs, -xs[::-1]) and not np.any(coeffs.imag) else 0
+    row0 = col0 if col0 and _definite_parity(coeffs) else 0
+    kernel(coeffs, xs[row0:], xs[col0:], q[row0:, col0:])
+    if row0:   # row i mirrors row n - 1 - i, which lies in the computed block
+        q[:row0, col0:] = q[::-1][:row0, col0:]
+    if col0:
+        q[:, :col0] = q[:, ::-1][:, :col0]
+    return q
+
+
+def _definite_parity(coeffs: np.ndarray) -> bool:
+    """Whether the index sums of the nonzero coefficients share one parity: a
+    vector's occupied levels, or a density's m + n (even, since its diagonal
+    holds nonzero entries)."""
+    parity = sum(np.nonzero(coeffs)) % 2
+    return bool(np.all(parity == parity[0]))
+
+
+def _bargmann_husimi(psi: np.ndarray, xr: np.ndarray, yc: np.ndarray, out: np.ndarray):
+    """Q of the vector psi at alpha = xr + i yc into out, shape (xr.size, yc.size).
+
+    The Bargmann function <alpha|psi> = e^{-|z|^2/2} sum_n psi_n z^n/sqrt(n!),
+    z = conj(alpha), is summed by Horner's rule over the occupied levels only:
+    p <- p z^(m-n) sqrt(n!/m!) + psi_n between neighbours n < m, with z^g
+    cached per gap; P points cost P complex multiply-adds per occupied level
+    and no amplitude matrix.  A bound on |p| moves the sums into a per-point
+    log scale s before they could overflow, and Q = exp(2 ln|p| + 2s +
+    n_0 ln|z|^2 - ln n_0! - |z|^2)/pi is assembled in log space.
+    """
+    levels = np.flatnonzero(psi)
+    rmax = max(float(np.abs(xr).max()), float(np.abs(yc).max()))
+    lnr = math.log(max(math.sqrt(2.0) * rmax, 1.0))   # |z| <= e^lnr
+    if lnr > 0:   # split long gaps: no single step may pass e^_LOG_BOUND
+        levels = np.union1d(levels, np.arange(levels[0], levels[-1], int(_LOG_BOUND / lnr)))
+    lf, n0 = _log_factorials(int(levels[-1]) + 1), int(levels[0])
+    gaps = np.diff(levels).tolist()
+    steps = list(zip(gaps, (-0.5 * np.diff(lf[levels])).tolist(), psi[levels[:-1]]))
+    rows = max(1, _HORNER_POINTS // yc.size)
+    for lo in range(0, xr.size, rows):
+        z = (xr[lo:lo + rows, None] - 1j * yc[None, :]).ravel()
+        powers = {g: z ** g for g in set(gaps)}
+        p = np.full(z.size, psi[levels[-1]])
+        s, inv, logb = 0.0, 1.0, 0.0   # inv = e^{-s}, |p| <= e^logb
+        for g, lnc, a in reversed(steps):
+            if logb + g * lnr + lnc > _LOG_BOUND:
+                m = np.maximum(np.abs(p), 1.0)
+                p, s, logb = p / m, s + np.log(m), 0.0
+                inv = np.exp(-s)
+            p *= math.exp(lnc)
+            p *= powers[g]
+            p += a * inv
+            logb = float(np.logaddexp(logb + g * lnr + lnc, 0.0))   # |a inv| <= 1
+        mod2 = z.real ** 2 + z.imag ** 2
+        with np.errstate(divide="ignore"):   # p = 0 or z = 0 give Q = 0
+            lnq = 2.0 * (np.log(np.abs(p)) + s) - mod2 - lf[n0]
+            if n0:
+                lnq += n0 * np.log(mod2)
+        out[lo:lo + rows] = np.exp(lnq).reshape(-1, yc.size) / math.pi
+
+
+def _density_husimi(matrix: np.ndarray, xr: np.ndarray, yc: np.ndarray, out: np.ndarray):
+    """Q of the density matrix at alpha = xr + i yc into out: one eigh, then
+    row chunks of about 1e6 coherent amplitudes (16 MB; 64 MB chunks took
+    twice as long on the wehrl benchmark) reduced by a BLAS product with the
+    kept eigenvectors."""
+    d = matrix.shape[0]
+    lam, vec = np.linalg.eigh(matrix)
     keep = lam > 1e-16
     lam, vec = lam[keep], vec[:, keep]
-    chunk = max(1, int(1e6 // max(d * xs.size, 1)))
-    for lo in range(0, xs.size, chunk):
-        hi = min(lo + chunk, xs.size)
-        alphas = (xs[lo:hi, None] + 1j * xs[None, :]).ravel()
+    rows = max(1, int(1e6 // max(d * yc.size, 1)))
+    for lo in range(0, xr.size, rows):
+        alphas = (xr[lo:lo + rows, None] + 1j * yc[None, :]).ravel()
         b = np.abs(_coherent_amplitudes(alphas, d).T @ vec.conj()) ** 2
-        q[lo:hi, :] = (b @ lam).reshape(hi - lo, xs.size) / math.pi
-    return q
+        out[lo:lo + rows] = (b @ lam).reshape(-1, yc.size) / math.pi
 
 
 def _wehrl_from_grid(q: np.ndarray, spacing: float) -> tuple[float, float]:
@@ -209,11 +268,16 @@ def delta_c(rho: State, grid: QuadratureGrid | None = None) -> MeasureReport:
     The reference term uses the closed-form Gaussian Husimi function on the
     same grid, so both entropies share the quadrature bias.
 
-    Cost: for P grid points, a vector takes P complex multiply-adds per
-    occupied level and builds no amplitude matrix.  A density of cutoff d and
-    rank k pays one d x d eigh, two complex products per point and level for
-    the coherent recursion and P d k multiply-adds for the overlaps, in 16 MB
-    chunks of coherent amplitudes.
+    Cost: for P computed grid points, a vector takes P complex multiply-adds
+    per occupied level and builds no amplitude matrix.  A density of cutoff d
+    and rank k pays one d x d eigh, two complex products per point and level
+    for the coherent recursion and P d k multiply-adds for the overlaps, in
+    16 MB chunks of coherent amplitudes.  P is the whole grid, except on a
+    mirrored grid (every QuadratureGrid is one) for a state with exactly real
+    coefficients: then P is the y >= 0 half, and the x >= 0 quadrant if the
+    state also has a definite parity (a squeezed Fock state at phi = 0, for
+    instance); the rest of Q is filled by mirroring.  The Gaussian reference
+    and both entropy sums always take the whole grid.
     """
     if rho.modes != 1:
         raise ArgumentError("delta_C is single-mode only")
@@ -307,8 +371,9 @@ def ng_of_map(channel: ChannelSpec, energy_cap: float = 4.0, cutoff: int = 30,
     ``expm`` and ``eigvalsh`` calls at 50-200 levels, where a second thread
     costs more than it gains: on a 2-core machine a complex ``expm`` at
     n = 130 takes 6-8 ms on one thread against 16 ms on two, and the 336
-    probe syntheses of the benchmark's map search 2.4 s against 8.0 s.  The
-    result then no longer follows the thread count in its last bits.
+    ``expm`` calls over the 190 probes of the benchmark's map search 2.4 s
+    against 8.0 s.  The result then no longer follows the thread count in its
+    last bits.
 
     scipy.linalg (for the probes' expm) and scipy.optimize are imported by the
     first probe and the refinement, not with the module: with scipy.special
@@ -317,6 +382,10 @@ def ng_of_map(channel: ChannelSpec, energy_cap: float = 4.0, cutoff: int = 30,
     """
     if channel.kind == "beamsplit":
         raise ArgumentError("ng_of_map probes one mode; a beam splitter acts on two")
+    if not 0 <= energy_cap < math.inf:
+        raise ArgumentError(f"energy_cap = {energy_cap} must be finite and >= 0")
+    if budget < 1 or cutoff < 1:
+        raise ArgumentError(f"budget = {budget} and cutoff = {cutoff} must be >= 1")
     if channel.is_gaussian:
         return MeasureReport(0.0, {"evaluations": 0.0, "cutoff_used": cutoff,
                                    "probe_n_th": 0.0, "probe_r": 0.0, "probe_phi": 0.0,
@@ -346,11 +415,15 @@ def ng_of_map(channel: ChannelSpec, energy_cap: float = 4.0, cutoff: int = 30,
         """
         d = probe_cutoff(params)
         d_int = d + max(20, int(math.ceil(4 * params.energy())))
-        nu = np.diag(thermal_weights(params.n_th, d_int)).astype(complex)
+        w = thermal_weights(params.n_th, d_int)
+        # the weights fall with n; those below tiny/eps ~ 1e-292 are dropped:
+        # with |u_ij| <= 1 none moves an entry by more, and their subnormal
+        # products slowed the product 6x at n_th = 0.01
+        k = np.count_nonzero(w >= np.finfo(float).tiny / np.finfo(float).eps)
         u = displacement_matrix(params.alpha, d_int)
         if params.r > 0:
             u = u @ squeeze_matrix(params.r, params.phi, d_int)
-        tau = u @ nu @ u.conj().T
+        tau = (u[:, :k] * w[:k]) @ u[:, :k].conj().T
         tau = tau[:d, :d]
         tau = 0.5 * (tau + tau.conj().T)
         deficit = max(1.0 - float(np.real(np.trace(tau))), 0.0)

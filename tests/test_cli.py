@@ -222,6 +222,15 @@ def test_grid_spacing_applies_to_the_default_grid(tmp_path, capsys):
     assert json.loads(path.read_text())["diagnostics"]["grid_spacing"] == 0.2
 
 
+def test_a_coarser_spacing_admits_an_automatic_grid_past_the_side_limit(capsys):
+    argv = ["measure", "deltaC", "--state", "fock:700", "--cutoff", "701",
+            "--grid-auto", "covering"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "4159 points per side" in err
+    code, out, _ = run(capsys, *argv, "--grid-spacing", "0.2")
+    assert code == 0 and out == "2.857790\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["measure", "deltaB", "--state", "coherent:nan"],
     ["measure", "deltaB", "--state", "squeezed:inf"],
@@ -249,13 +258,15 @@ def test_grid_spacing_applies_to_the_default_grid(tmp_path, capsys):
     ["measure", "deltaA", "--state", "vacuum:7"],
     ["bound", "B"],
     ["bound", "A"],
+    ["measure", "deltaC", "--state", "fock:1", "--grid-half-width", "2000"],
+    ["measure", "deltaC", "--state", "fock:1", "--grid-spacing", "1e-300"],
 ], ids=["coherent-nan", "squeezed-inf", "json-syntax", "json-no-cutoff",
         "hist-row", "channel-nan", "sweep-param", "sweep-repeated-param",
         "sweep-zero-count", "grid-spacing-0", "grid-half-width-0", "leak-budget",
         "loss-surplus", "phasediff-surplus", "kerr-surplus", "displace-surplus", "squeeze-surplus",
         "displace-true-surplus", "squeeze-true-surplus", "fock-surplus", "thermal-surplus",
         "coherent-surplus", "squeezed-surplus", "vacuum-surplus", "bound-B-no-state",
-        "bound-A-no-state"])
+        "bound-A-no-state", "grid-oversized", "grid-spacing-tiny"])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     (tmp_path / "bad.json").write_text("{bad")
     (tmp_path / "no_cutoff.json").write_text('{"modes": 1, "re": [1.0], "im": [0.0]}')

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -223,11 +225,66 @@ def test_husimi_of_a_gapped_support_matches_the_dense_overlaps():
     assert np.max(np.abs(_husimi_on_grid(psi, xs) - ref.reshape(xs.size, xs.size))) <= 1e-14
 
 
+def _dense_husimi(state, xs):
+    # the whole (levels x points) coherent amplitude matrix at once
+    alphas = (xs[:, None] + 1j * xs[None, :]).ravel()
+    if isinstance(state, DensityMatrix):
+        lam, vec = np.linalg.eigh(state.matrix)
+    else:
+        lam, vec = np.array([1.0]), state.amplitudes.reshape(-1, 1)
+    overlaps = _coherent_amplitudes(alphas, state.cutoff).T @ vec.conj()
+    return (np.abs(overlaps) ** 2 @ lam).reshape(xs.size, xs.size) / np.pi
+
+
+@pytest.mark.parametrize("make, block", [
+    (lambda: squeeze(fock(3, 80), 0.7), "quadrant"),
+    (lambda: cat(1.5, 0.3, 60), "half"),
+    (lambda: coherent(1 + 0.5j, 40), "full"),
+    (lambda: squeeze(fock(2, 40), 0.4).density(), "quadrant"),
+    (lambda: random_density_matrix(1, 30, 3, seed=5), "full"),
+], ids=["real-one-parity", "real-mixed-parity", "complex", "real-density-one-parity",
+        "complex-density"])
+@pytest.mark.parametrize("xs, mirrored", [
+    (QuadratureGrid(6.0).points(), True),
+    ((np.arange(120) - 59.5) * 0.1, True),
+    (np.linspace(-6.0, 6.0, 121), False),   # rounding breaks the mirror
+], ids=["odd", "even", "unmirrored"])
+def test_husimi_computes_only_the_block_its_symmetries_leave_open(monkeypatch, make, block,
+                                                                  xs, mirrored):
+    from nongauss import measures
+    asked = []
+    for name in ("_bargmann_husimi", "_density_husimi"):
+        def spy(coeffs, xr, yc, out, kernel=getattr(measures, name)):
+            asked.append((xr.size, yc.size))
+            kernel(coeffs, xr, yc, out)
+        monkeypatch.setattr(measures, name, spy)
+    state = make()
+    n, h = xs.size, xs.size - xs.size // 2   # h points with x >= 0
+    assert np.array_equal(xs, -xs[::-1]) == mirrored
+    got = _husimi_on_grid(state, xs)
+    expected = {"quadrant": (h, h), "half": (n, h), "full": (n, n)}[block if mirrored else "full"]
+    assert asked == [expected]
+    assert np.max(np.abs(got - _dense_husimi(state, xs))) <= 1e-14
+
+
 @pytest.mark.parametrize("half_width, spacing", [
     (float("inf"), 0.05), (6.0, float("inf")), (float("nan"), 0.05), (0.0, 0.05), (6.0, -0.1)])
 def test_quadrature_grid_must_be_finite_and_positive(half_width, spacing):
     with pytest.raises(ArgumentError, match="must be finite and positive"):
         QuadratureGrid(half_width, spacing)
+
+
+@pytest.mark.parametrize("half_width, spacing, side", [
+    (2000.0, 0.05, "80001"), (7.0, 1e-300, "1.4e+301"), (1e300, 1e-300, "inf"),
+    (2048.0, 1.0, "4097")])
+def test_quadrature_grid_side_is_capped(half_width, spacing, side):
+    with pytest.raises(ArgumentError,
+                       match=re.escape(f"has {side} points per side, above the limit of 4096")):
+        QuadratureGrid(half_width, spacing)
+
+
+def test_quadrature_grid_at_the_side_limit_is_accepted():
+    assert QuadratureGrid(2047.5, 1.0).points().size == 4096
 
 
 def test_nan_quadrature_residual_fails_the_gate(monkeypatch):
@@ -288,6 +345,23 @@ def test_gaussian_channels_have_zero_map_non_gaussianity():
         ChannelSpec("shear", {"r": 0.4})   # ng_of_map would never apply it
     with pytest.raises(ArgumentError, match="two"):
         ng_of_map(ChannelSpec("beamsplit", {"theta": 0.3, "modes": (0, 1)}))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"energy_cap": float("nan")}, {"energy_cap": -1.0}, {"energy_cap": float("inf")},
+    {"budget": 0}, {"cutoff": 0}], ids=["cap-nan", "cap-negative", "cap-inf", "budget-0",
+                                        "cutoff-0"])
+def test_ng_of_map_rejects_invalid_arguments(kwargs):
+    # checked before the Gaussian-channel early return
+    for spec in (ChannelSpec.loss(0.6), ChannelSpec.kerr(0.1)):
+        with pytest.raises(ArgumentError, match="must be"):
+            ng_of_map(spec, **kwargs)
+
+
+def test_ng_of_map_admits_a_zero_energy_cap():
+    # the vacuum is the only probe, and Kerr leaves it Gaussian
+    rep = ng_of_map(ChannelSpec.kerr(0.1), energy_cap=0.0, cutoff=10, budget=5)
+    assert rep.value == 0.0 and rep.diagnostics["evaluations"] == 5
 
 
 def test_phase_diffusion_poisson_limit():
