@@ -18,6 +18,7 @@ import numpy as np
 from .config import tolerances
 from .errors import ArgumentError, NumericalValidityError, TruncationError
 from .fock import DensityMatrix, FockStateVector, State, _log_factorials, as_density
+from .gaussian import GaussianData, _refuse_leaking
 
 __all__ = [
     "ChannelSpec", "loss", "loss_transition_matrix", "phase_diffusion", "kerr",
@@ -78,8 +79,13 @@ class ChannelSpec:
 
     @property
     def is_gaussian(self) -> bool:
-        """True for the kinds that map every Gaussian state to a Gaussian state."""
-        return self.kind not in ("phase_diffusion", "kerr")
+        """True for the kinds that map every Gaussian state to a Gaussian state,
+        and for Kerr and phase diffusion at zero strength (the identity)."""
+        if self.kind == "kerr":
+            return self.params["gamma"] == 0
+        if self.kind == "phase_diffusion":
+            return self.params["delta"] == 0
+        return True
 
     @staticmethod
     def loss(eta: float) -> "ChannelSpec":
@@ -174,6 +180,28 @@ def kerr(state: State, gamma: float) -> State:
         return FockStateVector(1, d, state.amplitudes * u, leakage=state.leakage)
     return DensityMatrix(1, d, (u[:, None] * state.matrix) * u.conj()[None, :],
                          leakage=state.leakage)
+
+
+def _kerr_moments(rho: DensityMatrix, gamma: float) -> GaussianData:
+    """The moments of kerr(rho, gamma), read off rho without forming the output.
+
+    With U = exp(-i gamma n^2), U^dag a U = e^{-i gamma (2n+1)} a and
+    U^dag a^2 U = e^{-i gamma (4n+4)} a^2, and n is unchanged, so only the
+    diagonal and the first two sub-diagonals of rho enter:
+    <a> = sum_m sqrt(m) e^{-i gamma (2m-1)} rho_{m,m-1} and
+    <a^2> = sum_m sqrt(m(m-1)) e^{-4i gamma (m-1)} rho_{m,m-2}.  Like
+    gaussian.moments, raises TruncationError beyond leak_max.
+    """
+    _refuse_leaking(rho)
+    mat = rho.matrix
+    m = np.arange(rho.cutoff)
+    n = float(np.real(np.diagonal(mat) @ m))
+    a1 = np.diagonal(mat, -1) @ (np.sqrt(m[1:]) * np.exp(-1j * gamma * (2 * m[1:] - 1)))
+    a2 = np.diagonal(mat, -2) @ (np.sqrt(m[2:] * (m[2:] - 1.0))
+                                 * np.exp(-4j * gamma * (m[2:] - 1)))
+    x = math.sqrt(2.0) * np.array([a1.real, a1.imag])
+    sigma = np.array([[a2.real + n + 0.5, a2.imag], [a2.imag, n + 0.5 - a2.real]])
+    return GaussianData(x, sigma - np.outer(x, x))
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,15 @@ def _pad_tensor(t: np.ndarray, pad: int) -> np.ndarray:
     return out
 
 
+def _refuse_leaking(state: State) -> None:
+    """TruncationError for a state whose leakage passes leak_max."""
+    leak_max = tolerances().leak_max
+    if state.leakage > leak_max:
+        raise TruncationError(
+            f"state leakage {state.leakage:.3e} exceeds leak_max {leak_max:.1e}; "
+            "moments of a leaking state are untrustworthy")
+
+
 def moments(state: State) -> GaussianData:
     """X_j = <R_j> and sigma_kj = <{R_k, R_j}>/2 - <R_k><R_j>.
 
@@ -140,11 +149,7 @@ def moments(state: State) -> GaussianData:
     """
     if state.modes > 2:
         raise ArgumentError("moments are implemented for 1- and 2-mode states")
-    tol = tolerances()
-    if state.leakage > tol.leak_max:
-        raise TruncationError(
-            f"state leakage {state.leakage:.3e} exceeds leak_max {tol.leak_max:.1e}; "
-            "moments of a leaking state are untrustworthy")
+    _refuse_leaking(state)
 
     n = 2 * state.modes
     if isinstance(state, FockStateVector):

@@ -10,14 +10,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import serial_blas
-from .channels import ChannelSpec, apply_channel
+from .channels import ChannelSpec, _kerr_moments, apply_channel
 from .errors import ArgumentError, NumericalValidityError
 from .fock import (DensityMatrix, FockStateVector, MeasureReport, State,
                    as_density, _entropy_of_spectrum, _log_factorials, purity,
                    random_density_matrix)
 from .gaussian import (GaussianData, displacement_matrix, fit_single_mode_gaussian,
-                       gaussian_entropy, gaussian_fock_block, moments, squeeze_matrix,
-                       symplectic_eigenvalues, thermal_weights, SingleModeGaussianParams)
+                       gaussian_entropy, gaussian_fock_block, h, moments, squeeze_matrix,
+                       symplectic_eigenvalues, synthesize_single_mode_gaussian,
+                       thermal_weights, SingleModeGaussianParams)
 from .states import _coherent_amplitudes
 
 __all__ = [
@@ -362,23 +363,30 @@ def ng_of_map(channel: ChannelSpec, energy_cap: float = 4.0, cutoff: int = 30,
 
     The reported value is a certified lower bound on the true supremum: every
     probe evaluated is an admissible Gaussian state under the energy cap.  A
-    Gaussian channel (loss, a Gaussian unitary) maps every probe to a Gaussian
-    state, so its value is exactly 0, reported with no evaluations and the
-    vacuum as the probe.
+    Gaussian channel (loss, a Gaussian unitary, Kerr at gamma = 0, phase
+    diffusion at delta = 0) maps every probe to a Gaussian state, so its value
+    is exactly 0, reported with no evaluations and the vacuum as the probe.
+
+    A Kerr probe is gaussian_fock_block's exact block at probe_cutoff's size,
+    with no expm and no output state: channels._kerr_moments reads the
+    output's moments off the probe's diagonal and first two sub-diagonals,
+    and Kerr is unitary, so S(out) = h(n_th + 1/2) needs no eigvalsh.  A
+    phase-diffusion probe is probe_state's dense D S nu S^dag D^dag, put
+    through the channel and delta_b.
 
     The search runs on one OpenBLAS thread (``_blas.serial_blas``), and the
-    caller's thread counts are restored on return.  Its probes are dense
-    ``expm`` and ``eigvalsh`` calls at 50-200 levels, where a second thread
-    costs more than it gains: on a 2-core machine a complex ``expm`` at
-    n = 130 takes 6-8 ms on one thread against 16 ms on two, and the 336
-    ``expm`` calls over the 190 probes of the benchmark's map search 2.4 s
-    against 8.0 s.  The result then no longer follows the thread count in its
-    last bits.
+    caller's thread counts are restored on return.  The phase-diffusion probes
+    are dense ``expm`` and ``eigvalsh`` calls at 50-200 levels, where a second
+    thread costs more than it gains: on a 2-core machine a complex ``expm`` at
+    n = 130 takes 6-8 ms on one thread against 16 ms on two, and the 170
+    ``expm`` calls over the 96 phase-diffusion probes of the benchmark's map
+    search 0.85 s against 3.4-4.0 s.  The result then no longer follows the
+    thread count in its last bits.
 
-    scipy.linalg (for the probes' expm) and scipy.optimize are imported by the
-    first probe and the refinement, not with the module: with scipy.special
-    they made up about 0.5 s of the 0.75 s a one-shot CLI process spent
-    importing ``nongauss`` (2-core VM).
+    scipy.linalg (for the dense probes' expm) and scipy.optimize are imported
+    by the first such probe and the refinement, not with the module: with
+    scipy.special they made up about 0.5 s of the 0.75 s a one-shot CLI
+    process spent importing ``nongauss`` (2-core VM).
     """
     if channel.kind == "beamsplit":
         raise ArgumentError("ng_of_map probes one mode; a beam splitter acts on two")
@@ -405,8 +413,9 @@ def ng_of_map(channel: ChannelSpec, energy_cap: float = 4.0, cutoff: int = 30,
         return max(cutoff, d)
 
     def probe_state(params: SingleModeGaussianParams) -> DensityMatrix:
-        """The probe as the dense D S nu S^dag D^dag at an enlarged internal
-        cutoff, not gaussian_fock_block's exact block.
+        """A phase-diffusion probe as the dense D S nu S^dag D^dag at an
+        enlarged internal cutoff, not gaussian_fock_block's exact block (Kerr
+        probes take that block).
 
         The map-search references pin the Nelder-Mead path of phase_diffusion,
         where the squeezing phase is redundant and rounding breaks the tie: the
@@ -437,10 +446,14 @@ def ng_of_map(channel: ChannelSpec, energy_cap: float = 4.0, cutoff: int = 30,
         params = SingleModeGaussianParams(amag * np.exp(1j * aarg), r, phi % (2 * math.pi), n_th)
         if params.energy() > energy_cap + 1e-12:
             return -1.0
+        if channel.kind == "kerr":
+            probe = synthesize_single_mode_gaussian(params, probe_cutoff(params))
+            evals += 1
+            g_out = _kerr_moments(probe, channel.params["gamma"])
+            return _nonnegative("delta_B", gaussian_entropy(g_out) - h(params.n_th + 0.5))
         probe = probe_state(params)
         evals += 1
-        out = apply_channel(probe, channel)
-        return delta_b(out).value
+        return delta_b(apply_channel(probe, channel)).value
 
     rmax = 0.5 * math.acosh(2 * energy_cap + 1.0)
     amax = math.sqrt(energy_cap)

@@ -75,6 +75,7 @@ def test_scope_without_libraries_is_a_no_op(two_threads, monkeypatch):
 
 
 def test_ng_of_map_runs_on_one_thread(two_threads, monkeypatch):
+    # phase diffusion: its probes still go through delta_b (Kerr probes do not)
     seen = []
     original = measures.delta_b
 
@@ -83,7 +84,8 @@ def test_ng_of_map_runs_on_one_thread(two_threads, monkeypatch):
         return original(rho)
 
     monkeypatch.setattr(measures, "delta_b", recording)
-    rep = measures.ng_of_map(ChannelSpec.kerr(0.1), energy_cap=1.0, cutoff=15, budget=4)
+    rep = measures.ng_of_map(ChannelSpec.phase_diffusion(0.5), energy_cap=1.0, cutoff=15,
+                             budget=4)
     assert rep.diagnostics["evaluations"] == len(seen) == 4
     assert all(c == [1] * len(two_threads) for c in seen)
     assert _counts() == two_threads
@@ -94,6 +96,7 @@ def test_ng_of_map_runs_on_one_thread(two_threads, monkeypatch):
 
     monkeypatch.setattr(measures, "delta_b", failing)
     with pytest.raises(NumericalValidityError):
-        measures.ng_of_map(ChannelSpec.kerr(0.1), energy_cap=1.0, cutoff=15, budget=4)
+        measures.ng_of_map(ChannelSpec.phase_diffusion(0.5), energy_cap=1.0, cutoff=15,
+                           budget=4)
     assert seen[-1] == [1] * len(two_threads)
     assert _counts() == two_threads

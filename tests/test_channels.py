@@ -5,15 +5,18 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 from scipy.special import hyp2f1
 
 from nongauss import (ArgumentError, ChannelSpec, DensityMatrix, FockStateVector,
                       NumericalValidityError, TruncationError, apply_channel, beam_split,
                       delta_a, delta_b, displace, kerr, loss, phase_diffusion, squeeze, tensor)
-from nongauss.channels import (_bs_blocks, _displacement_block, _squeeze_block,
-                               loss_transition_matrix)
-from nongauss.fock import destroy
-from nongauss.gaussian import displacement_matrix, squeeze_matrix
+from nongauss.channels import (_bs_blocks, _displacement_block, _kerr_moments,
+                               _squeeze_block, loss_transition_matrix)
+from nongauss.fock import destroy, random_density_matrix
+from nongauss.gaussian import (SingleModeGaussianParams, displacement_matrix,
+                               gaussian_entropy, h, moments, squeeze_matrix,
+                               synthesize_single_mode_gaussian)
 from nongauss.states import coherent, fock, thermal, vacuum
 
 
@@ -130,6 +133,48 @@ def test_kerr_energy_trend():
     vals = [delta_b(kerr(coherent(np.sqrt(n), 40), gamma)).value
             for n in (1.0, 2.0, 4.0, 8.0)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+gaussian_params = st.builds(
+    lambda amag, aarg, r, phi, n_th: SingleModeGaussianParams(amag * np.exp(1j * aarg), r,
+                                                              phi, n_th),
+    st.floats(0.0, 1.0), st.floats(-np.pi, np.pi), st.floats(0.0, 0.5),
+    st.floats(-np.pi, np.pi), st.floats(0.0, 0.3))
+
+
+def _probe(params: SingleModeGaussianParams) -> DensityMatrix:
+    # at most |alpha| = 1, r = 0.5 and n_th = 0.3: the crop at d = 60 leaks < 1e-10
+    return synthesize_single_mode_gaussian(params, 60)
+
+
+random_states = st.builds(lambda rank, seed: random_density_matrix(1, 12, rank, seed),
+                          st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+kerr_settings = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@kerr_settings
+@given(st.one_of(random_states, gaussian_params.map(_probe)),
+       st.floats(-np.pi, np.pi, exclude_min=True, exclude_max=True))
+def test_kerr_moments_match_the_output_state(rho, gamma):
+    # the moment law on rho's diagonals against the moments of the output state
+    got, want = _kerr_moments(rho, gamma), moments(kerr(rho, gamma))
+    assert np.max(np.abs(got.X - want.X)) <= 1e-12
+    assert np.max(np.abs(got.sigma - want.sigma)) <= 1e-12
+
+
+@kerr_settings
+@given(gaussian_params)
+def test_kerr_at_pi_keeps_gaussian_probes_gaussian(params):
+    # n^2 = n mod 2, so exp(-i pi n^2) = exp(-i pi n), a rotation by pi: the
+    # output is Gaussian and its delta_B, as ng_of_map reads it, vanishes
+    g = _kerr_moments(_probe(params), np.pi)
+    assert abs(gaussian_entropy(g) - h(params.n_th + 0.5)) <= 1e-9
+
+
+def test_kerr_moments_refuse_a_leaking_state():
+    rho = DensityMatrix(1, 5, np.diag([1.0, 0, 0, 0, 0]).astype(complex), leakage=1e-3)
+    with pytest.raises(TruncationError, match="leak_max"):
+        _kerr_moments(rho, 0.1)
 
 
 def test_gaussian_unitaries():

@@ -1,0 +1,98 @@
+"""Figure cells pinned to closed forms evaluated with the standard library only.
+
+Each oracle is checked against the figure builder's rows and against the
+committed reference CSV under perfbench/reference/figures (read, never written).
+"""
+
+import cmath
+import csv
+import math
+from pathlib import Path
+
+from nongauss import figures
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "figures"
+
+
+def _h(x: float) -> float:
+    """(x + 1/2) ln(x + 1/2) - (x - 1/2) ln(x - 1/2), 0 at x <= 1/2."""
+    if x <= 0.5:
+        return 0.0
+    return (x + 0.5) * math.log(x + 0.5) - (x - 0.5) * math.log(x - 0.5)
+
+
+def _reference_rows(number: int) -> list:
+    with open(REFERENCE / f"fig{number}.csv", newline="") as fh:
+        lines = [line for line in fh if not line.startswith("#")]
+    return [{key: float(value) for key, value in row.items()} for row in csv.DictReader(lines)]
+
+
+def _kerr_coherent_delta_b(gamma: float, n: float) -> float:
+    """delta_B of exp(-i gamma n^2)|alpha>, alpha = sqrt(n): the output is pure,
+    so delta_B = h(sqrt(det sigma)), with <a> = alpha e^{-i gamma}
+    exp(|alpha|^2 (e^{-2i gamma} - 1)), <a^2> = alpha^2 e^{-4i gamma}
+    exp(|alpha|^2 (e^{-4i gamma} - 1)) and <n> = |alpha|^2."""
+    alpha = math.sqrt(n)
+    a1 = alpha * cmath.exp(-1j * gamma) * cmath.exp(n * (cmath.exp(-2j * gamma) - 1))
+    a2 = n * cmath.exp(-4j * gamma) * cmath.exp(n * (cmath.exp(-4j * gamma) - 1))
+    dn = n - abs(a1) ** 2
+    da2 = a2 - a1 * a1
+    return _h(math.sqrt((dn + 0.5) ** 2 - abs(da2) ** 2))
+
+
+def _binomial(p: int, eta: float) -> list:
+    """Photon-number distribution of |p> after loss eta."""
+    return [math.comb(p, k) * eta ** k * (1 - eta) ** (p - k) for k in range(p + 1)]
+
+
+def _lossy_fock_measures(p: int, eta: float) -> tuple[float, float]:
+    """(delta_A, delta_B) of |p> after loss eta: a Fock-diagonal state P with a
+    thermal reference of nbar = p eta photons, so delta_B = h(nbar + 1/2) - H(P)
+    and delta_A = (mu + mu_tau - 2 kappa) / (2 mu), with mu = sum P_k^2,
+    mu_tau = 1/(2 nbar + 1) and kappa = sum P_k nbar^k / (nbar + 1)^(k+1)."""
+    probs = _binomial(p, eta)
+    nbar = p * eta
+    shannon = -sum(q * math.log(q) for q in probs if q > 0)
+    mu = sum(q * q for q in probs)
+    kappa = sum(q * nbar ** k / (nbar + 1) ** (k + 1) for k, q in enumerate(probs))
+    delta_a = (mu + 1 / (2 * nbar + 1) - 2 * kappa) / (2 * mu)
+    return delta_a, _h(nbar + 0.5) - shannon
+
+
+def _fock_measures(n: int) -> tuple[float, float]:
+    """(delta_A, delta_B) of |n>: its reference is thermal with n photons."""
+    return (1 + 1 / (2 * n + 1) - 2 * n ** n / (n + 1) ** (n + 1)) / 2, _h(n + 0.5)
+
+
+def test_fig8_kerr_cells_match_the_coherent_closed_form():
+    _, header, rows = figures.fig8_kerr()
+    built = [dict(zip(header, row)) for row in rows]
+    for cells in (built, _reference_rows(8)):
+        assert len(cells) == 48
+        for row in cells:
+            want = _kerr_coherent_delta_b(row["gamma"], row["n_mean"])
+            assert abs(row["delta_B"] - want) <= 1e-11, row
+
+
+def test_fig3_fock_cells_match_the_thermal_closed_form():
+    _, header, rows = figures.fig3_fock_superpositions()
+    built = [dict(zip(header, row)) for row in rows]
+    for cells in (built, _reference_rows(3)):
+        fock_rows = [row for row in cells if row["k"] == 0]
+        assert [row["n"] for row in fock_rows] == list(range(1, 11))
+        for row in fock_rows:
+            want_a, want_b = _fock_measures(int(row["n"]))
+            assert abs(row["delta_A"] - want_a) <= 1e-10, row
+            assert abs(row["delta_B"] - want_b) <= 1e-10, row
+
+
+def test_fig7_lossy_fock_cells_match_the_binomial_closed_form():
+    _, header, rows = figures.fig7_lossy_fock()
+    built = [dict(zip(header, row)) for row in rows]
+    for cells in (built, _reference_rows(7)):
+        assert len(cells) == 44
+        for row in cells:
+            want_a, want_b = _lossy_fock_measures(int(row["p"]), math.exp(-row["t"]))
+            assert abs(row["delta_A"] - want_a) <= 1e-10, row
+            assert abs(row["delta_B"] - want_b) <= 1e-10, row
+

@@ -335,8 +335,10 @@ def test_ng_of_map():
 
 
 def test_gaussian_channels_have_zero_map_non_gaussianity():
-    # Gaussian probes stay Gaussian: exactly 0, with no probe evaluated
-    for spec in (ChannelSpec.loss(0.6), ChannelSpec("squeeze", {"r": 0.4, "phi": 0.3})):
+    # Gaussian probes stay Gaussian: exactly 0, with no probe evaluated; Kerr
+    # and phase diffusion at zero strength are the identity
+    for spec in (ChannelSpec.loss(0.6), ChannelSpec("squeeze", {"r": 0.4, "phi": 0.3}),
+                 ChannelSpec.kerr(0.0), ChannelSpec.phase_diffusion(0.0)):
         rep = ng_of_map(spec, energy_cap=2.0, cutoff=25, budget=100)
         assert rep.value == 0.0
         assert rep.diagnostics["evaluations"] == 0
@@ -356,6 +358,19 @@ def test_ng_of_map_rejects_invalid_arguments(kwargs):
     for spec in (ChannelSpec.loss(0.6), ChannelSpec.kerr(0.1)):
         with pytest.raises(ArgumentError, match="must be"):
             ng_of_map(spec, **kwargs)
+
+
+def test_ng_of_map_builds_kerr_probes_without_dense_unitaries(monkeypatch):
+    # Kerr probes are exact Gaussian blocks: no expm-built D or S is called
+    from nongauss import measures
+
+    def refuse(*args):
+        raise AssertionError("dense unitary built for a Kerr probe")
+
+    monkeypatch.setattr(measures, "displacement_matrix", refuse)
+    monkeypatch.setattr(measures, "squeeze_matrix", refuse)
+    rep = ng_of_map(ChannelSpec.kerr(0.1), energy_cap=1.0, cutoff=15, budget=10)
+    assert rep.diagnostics["evaluations"] == 10 and rep.value > 0.01
 
 
 def test_ng_of_map_admits_a_zero_energy_cap():
