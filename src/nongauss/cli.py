@@ -24,12 +24,10 @@ from .channels import _OPERATIONS, ChannelSpec, _signature, apply_channel
 from .distillation import (b_protocol_run, browne_state, log_negativity,
                            t_protocol_output)
 from .errors import ArgumentError, NonGaussError
-from .fock import (DensityMatrix, FockStateVector, MeasureReport, as_density, purity,
-                   von_neumann_entropy)
+from .fock import DensityMatrix, FockStateVector, MeasureReport, purity, von_neumann_entropy
 from .figures import _parallel_map, build_figure
 from .gaussian import moments
-from .measures import (QuadratureGrid, _covering_half_width, _energy_half_width,
-                       delta_a, delta_b, delta_c)
+from .measures import QuadratureGrid, delta_a, delta_b, delta_c
 from .states import PNESSpec, pnes
 
 DEFAULT_CUTOFF = 40
@@ -217,16 +215,15 @@ def cmd_state(args) -> int:
     if args.action == "build":
         _write_text(state.to_json(), args.out)
         return 0
-    dm = as_density(state)
     g = moments(state) if state.modes <= 2 else None
     info = {
         "modes": state.modes,
         "cutoff": state.cutoff,
         "pure": isinstance(state, FockStateVector),
-        "purity": purity(dm),
-        "entropy_nats": von_neumann_entropy(dm),
-        "mean_photons": dm.energy(),
-        "leakage": dm.leakage,
+        "purity": purity(state),
+        "entropy_nats": von_neumann_entropy(state),
+        "mean_photons": state.energy(),
+        "leakage": state.leakage,
     }
     if g is not None:
         info["X"] = g.X.tolist()
@@ -242,13 +239,11 @@ def cmd_measure(args) -> int:
     elif args.which == "deltaB":
         rep = delta_b(state)
     else:
-        if args.grid_half_width is not None:
-            half_width = args.grid_half_width
-        elif args.grid_auto == "covering":
-            half_width = _covering_half_width(state)
+        if args.grid_half_width is None:
+            grid = QuadratureGrid.covering(state, args.grid_spacing)
         else:
-            half_width = _energy_half_width(state)
-        rep = delta_c(state, grid=QuadratureGrid(half_width, args.grid_spacing))
+            grid = QuadratureGrid(args.grid_half_width, args.grid_spacing)
+        rep = delta_c(state, grid=grid)
     if args.which != "deltaA":   # delta_A is unitless
         rep = MeasureReport(_in_log_base(rep.value, args), rep.diagnostics)
     print(f"{rep.value:.6f}")
@@ -420,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--state", required=True, help=STATE_SYNTAX)
     sp.add_argument("--grid-half-width", type=finite_float, default=None)
     sp.add_argument("--grid-spacing", type=finite_float, default=0.05)
-    sp.add_argument("--grid-auto", choices=["default", "covering"], default="default")
+    sp.add_argument("--grid-auto", choices=["covering"],
+                    help="grid rule without --grid-half-width (the only one, and the default)")
     sp.set_defaults(fn=cmd_measure)
 
     sp = sub.add_parser("channel", help="apply a channel to a state", parents=[common])

@@ -21,7 +21,7 @@ from .distillation import (b_protocol_iterates, browne_state, entanglement_gain,
 from .errors import ArgumentError
 from .fock import _log_factorials
 from .gaussian import h
-from .measures import QuadratureGrid, delta_a, delta_b, delta_c
+from .measures import delta_a, delta_b, delta_c
 from .states import (PNESSpec, cat, coherent, delta_a_diagonal, delta_b_diagonal,
                      fock, fock_superposition, pnes, pnes_coefficients)
 
@@ -74,7 +74,7 @@ def fig2_wehrl_squeezed_fock(seed=0, threads=1):
         state = fock(n, 96)
         if r > 0:
             state = squeeze(state, r)
-        rep = delta_c(state, grid=QuadratureGrid.covering(state))
+        rep = delta_c(state)
         return [n, r, rep.value, rep.diagnostics["quadrature_residual"]]
 
     rows = _parallel_map(run, [(n, r) for n in ns for r in rs], threads)

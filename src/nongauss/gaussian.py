@@ -10,7 +10,6 @@ sigma12 = (n+1/2) sinh 2r sin phi.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -57,14 +56,6 @@ class GaussianData:
     @property
     def modes(self) -> int:
         return self.X.size // 2
-
-    def to_json(self) -> str:
-        return json.dumps({"X": self.X.tolist(), "sigma": self.sigma.tolist()})
-
-    @staticmethod
-    def from_json(text: str) -> "GaussianData":
-        obj = json.loads(text)
-        return GaussianData(np.asarray(obj["X"]), np.asarray(obj["sigma"]))
 
 
 @dataclass(frozen=True)

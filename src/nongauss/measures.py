@@ -113,30 +113,19 @@ class QuadratureGrid:
         return xs
 
     @staticmethod
-    def for_state(state: State) -> "QuadratureGrid":
-        return QuadratureGrid(_energy_half_width(state))
-
-    @staticmethod
-    def covering(state: State) -> "QuadratureGrid":
-        """Half-width of 5.5 Husimi standard deviations along the widest axis,
-        plus the displacement and a margin of 1; use this
-        for strongly squeezed states, whose Q function outgrows the default
-        energy-based square."""
-        return QuadratureGrid(_covering_half_width(state))
-
-
-# the half-widths of the two automatic grids, apart from their default spacing,
-# whose side may pass _MAX_GRID_SIDE where a coarser one would not
-def _energy_half_width(state: State) -> float:
-    return math.sqrt(2.0 * (state.energy() + 1.0)) + 5.0
-
-
-def _covering_half_width(state: State) -> float:
-    g = moments(state)
-    k = g.sigma + 0.5 * np.eye(2)
-    spread = math.sqrt(float(np.linalg.eigvalsh(k)[-1]) / 2.0)
-    center = float(np.linalg.norm(g.X)) / math.sqrt(2.0)
-    return 5.5 * spread + center + 1.0
+    def covering(state: State, spacing: float = 0.05) -> "QuadratureGrid":
+        """The automatic grid: half-width 5.5 sigma + |<alpha>| + 1, sigma the
+        widest standard deviation of the moment-matched Gaussian's Q.  It covers
+        the mass of Q; the entropy integrand decays more slowly, and the edge
+        cuts some of it (-3.7e-8 of delta_C for |4>).  The side limit depends
+        on the spacing, so a coarser one admits a wider window."""
+        if state.modes != 1:
+            raise ArgumentError("the automatic delta_C grid is single-mode only")
+        g = moments(state)
+        k = g.sigma + 0.5 * np.eye(2)
+        spread = math.sqrt(float(np.linalg.eigvalsh(k)[-1]) / 2.0)
+        center = float(np.linalg.norm(g.X)) / math.sqrt(2.0)
+        return QuadratureGrid(5.5 * spread + center + 1.0, spacing)
 
 
 _HORNER_POINTS = 20000   # grid points per chunk: Horner's working vectors stay in cache
@@ -266,8 +255,10 @@ def _gaussian_husimi(g: GaussianData, xs: np.ndarray) -> np.ndarray:
 def delta_c(rho: State, grid: QuadratureGrid | None = None) -> MeasureReport:
     """Wehrl-entropy non-Gaussianity H_W(tau) - H_W(rho) by grid quadrature.
 
-    The reference term uses the closed-form Gaussian Husimi function on the
-    same grid, so both entropies share the quadrature bias.
+    The default grid is QuadratureGrid.covering(rho).  Both terms use the
+    trapezoid rule, with different errors: tau's Gaussian Q has no zeros, but
+    rho's Q vanishes at the zeros of its Bargmann function, where Q ln Q
+    loses the rule's spectral accuracy (error about h^4 in the spacing h).
 
     Cost: for P computed grid points, a vector takes P complex multiply-adds
     per occupied level and builds no amplitude matrix.  A density of cutoff d
@@ -283,7 +274,7 @@ def delta_c(rho: State, grid: QuadratureGrid | None = None) -> MeasureReport:
     if rho.modes != 1:
         raise ArgumentError("delta_C is single-mode only")
     if grid is None:
-        grid = QuadratureGrid.for_state(rho)
+        grid = QuadratureGrid.covering(rho)
     xs = grid.points()
     g = moments(rho)
     q_rho = _husimi_on_grid(rho, xs)

@@ -73,6 +73,15 @@ def test_state_build_round_trip(tmp_path, capsys):
     assert info["modes"] == 1 and info["pure"] is True
 
 
+def test_inspect_reads_a_two_mode_vector_without_a_dense_density(capsys):
+    # d^2 = 2500 is past the dense cap, which delta_B never needs either
+    code, printed, _ = run(capsys, "state", "inspect", "--state", "pnes:tmc:1.0",
+                           "--cutoff", "50")
+    info = json.loads(printed)
+    assert code == 0 and info["modes"] == 2 and info["pure"] is True
+    assert info["purity"] == 1.0 and info["entropy_nats"] == 0.0
+
+
 def test_channel_apply(tmp_path, capsys):
     out = tmp_path / "lossy.json"
     code, _, _ = run(capsys, "channel", "apply", "--channel", "loss:0.6",
@@ -260,13 +269,14 @@ def test_a_coarser_spacing_admits_an_automatic_grid_past_the_side_limit(capsys):
     ["bound", "A"],
     ["measure", "deltaC", "--state", "fock:1", "--grid-half-width", "2000"],
     ["measure", "deltaC", "--state", "fock:1", "--grid-spacing", "1e-300"],
+    ["measure", "deltaC", "--state", "pnes:tmc:1.0", "--cutoff", "12", "--grid-auto", "covering"],
 ], ids=["coherent-nan", "squeezed-inf", "json-syntax", "json-no-cutoff",
         "hist-row", "channel-nan", "sweep-param", "sweep-repeated-param",
         "sweep-zero-count", "grid-spacing-0", "grid-half-width-0", "leak-budget",
         "loss-surplus", "phasediff-surplus", "kerr-surplus", "displace-surplus", "squeeze-surplus",
         "displace-true-surplus", "squeeze-true-surplus", "fock-surplus", "thermal-surplus",
         "coherent-surplus", "squeezed-surplus", "vacuum-surplus", "bound-B-no-state",
-        "bound-A-no-state", "grid-oversized", "grid-spacing-tiny"])
+        "bound-A-no-state", "grid-oversized", "grid-spacing-tiny", "deltaC-two-mode"])
 def test_malformed_input_exits_2(tmp_path, capsys, argv):
     (tmp_path / "bad.json").write_text("{bad")
     (tmp_path / "no_cutoff.json").write_text('{"modes": 1, "re": [1.0], "im": [0.0]}')

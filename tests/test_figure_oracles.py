@@ -21,10 +21,17 @@ def _h(x: float) -> float:
     return (x + 0.5) * math.log(x + 0.5) - (x - 0.5) * math.log(x - 0.5)
 
 
+def _cell(value: str):
+    try:
+        return float(value)
+    except ValueError:   # a label column, such as fig 1's family
+        return value
+
+
 def _reference_rows(number: int) -> list:
     with open(REFERENCE / f"fig{number}.csv", newline="") as fh:
         lines = [line for line in fh if not line.startswith("#")]
-    return [{key: float(value) for key, value in row.items()} for row in csv.DictReader(lines)]
+    return [{key: _cell(value) for key, value in row.items()} for row in csv.DictReader(lines)]
 
 
 def _kerr_coherent_delta_b(gamma: float, n: float) -> float:
@@ -62,6 +69,32 @@ def _lossy_fock_measures(p: int, eta: float) -> tuple[float, float]:
 def _fock_measures(n: int) -> tuple[float, float]:
     """(delta_A, delta_B) of |n>: its reference is thermal with n photons."""
     return (1 + 1 / (2 * n + 1) - 2 * n ** n / (n + 1) ** (n + 1)) / 2, _h(n + 0.5)
+
+
+def _pnes_delta_b(family: str, x: float, cutoff: int = 12) -> float:
+    """delta_B of sum_n psi_n |n>|n>, psi_n normalized below the cutoff: each
+    mode has <n> = N and <a> = <a^2> = 0, and <ab> = C = sum (n+1) psi_n psi_{n+1},
+    so both symplectic eigenvalues are sqrt((N + 1/2)^2 - C^2) and, the state
+    being pure, delta_B = 2 h of it."""
+    profile = {"tmc": lambda n: x ** n / math.factorial(n),
+               "pssv": lambda n: (n + 1) * x ** (n + 1),
+               "pasv": lambda n: n * x ** (n - 1) if n else 0.0}[family]
+    psi = [profile(n) for n in range(cutoff)]
+    norm = math.sqrt(sum(p * p for p in psi))
+    psi = [p / norm for p in psi]
+    photons = sum(n * p * p for n, p in enumerate(psi))
+    corr = sum((n + 1) * psi[n] * psi[n + 1] for n in range(cutoff - 1))
+    return 2 * _h(math.sqrt((photons + 0.5) ** 2 - corr ** 2))
+
+
+def test_fig1_pnes_cells_match_the_photon_number_closed_form():
+    _, header, rows = figures.fig1_pnes_vs_partial_traces()
+    built = [dict(zip(header, row)) for row in rows]
+    for cells in (built, _reference_rows(1)):
+        assert len(cells) == 20
+        for row in cells:
+            want = _pnes_delta_b(row["family"], row["parameter"])
+            assert abs(row["delta_B_pnes"] - want) <= 1e-10, row
 
 
 def test_fig8_kerr_cells_match_the_coherent_closed_form():

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -137,6 +138,27 @@ def test_delta_c():
         delta_c(coherent(2.0, 60), grid=QuadratureGrid(1.5, 0.05))
     rep = delta_c(fock(1, 30))
     assert rep.diagnostics["quadrature_residual"] <= 1e-4
+
+
+def _fock_delta_c(n: int) -> float:
+    """delta_C(|n>) = ln(n+1) - n + n psi(n+1) - ln n!, psi(n+1) = H_n - gamma
+    (Orlowski, PRA 48, 727 (1993))."""
+    euler_gamma = 0.5772156649015329
+    harmonic = sum(1.0 / k for k in range(1, n + 1))
+    return math.log(n + 1) - n + n * (harmonic - euler_gamma) - math.lgamma(n + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 30])
+def test_default_grid_delta_c_of_fock_states_meets_the_closed_form(n):
+    assert abs(delta_c(fock(n, n + 20)).value - _fock_delta_c(n)) <= 1e-6
+
+
+def test_the_automatic_grid_is_single_mode_only():
+    two_mode = tensor(fock(1, 6), fock(0, 6))
+    with pytest.raises(ArgumentError, match="single-mode"):
+        QuadratureGrid.covering(two_mode)
+    with pytest.raises(ArgumentError, match="single-mode"):
+        delta_c(two_mode)
 
 
 def test_delta_c_not_squeeze_invariant():
