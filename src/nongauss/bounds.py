@@ -72,15 +72,15 @@ def histogram_to_distribution(rows) -> np.ndarray:
     rows = [(int(m), float(c)) for m, c in rows]
     if not rows:
         raise ArgumentError("empty histogram")
-    if any(m < 0 or c < 0 for m, c in rows):
+    if any(m < 0 or not c >= 0 for m, c in rows):   # NaN fails this check
         raise ArgumentError("histogram entries must be non-negative")
     size = max(m for m, _ in rows) + 1
     q = np.zeros(size)
     for m, c in rows:
         q[m] += c
     total = q.sum()
-    if total <= 0:
-        raise ArgumentError("histogram has zero total count")
+    if not 0 < total < np.inf:
+        raise ArgumentError(f"histogram total count {total} is not positive and finite")
     return q / total
 
 
@@ -95,7 +95,7 @@ def epsilon_a(q) -> float:
     eta = 1 it recovers delta_B exactly.
     """
     q = np.asarray(q, dtype=float).ravel()
-    if np.any(q < 0) or abs(q.sum() - 1.0) > 1e-8:
+    if not (np.all(q >= 0) and abs(q.sum() - 1.0) <= 1e-8):   # NaN fails this check
         raise ArgumentError("q must be a probability distribution")
     return delta_b_diagonal(q)
 

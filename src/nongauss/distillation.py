@@ -11,75 +11,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import tolerances
 from .errors import ArgumentError, NumericalValidityError, TruncationError
-from .fock import (DensityMatrix, FockStateVector, State, _log_factorials,
-                   partial_transpose)
+from .fock import (DensityMatrix, FockStateVector, State, _check_dense_dim,
+                   _log_factorials, partial_transpose)
 from .gaussian import _ladder
 from .channels import _bs_blocks
 from .measures import delta_b
 from .states import _squeezed_vacuum_amplitudes
 
 __all__ = [
-    "BranchEnsemble", "ProtocolTrace", "browne_state",
+    "ProtocolTrace", "browne_state",
     "b_protocol_step", "b_protocol_iterates", "b_protocol_run", "entanglement_gain",
     "iterate_delta_b", "log_negativity", "max_two_mode_ng", "renormalized_ng",
     "t_protocol_output",
 ]
-
-
-# ---------------------------------------------------------------------------
-# rank-efficient carrier
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BranchEnsemble:
-    """Two-mode mixed state as a list of weighted pure branches.
-
-    The protocol contracts branch by branch, so the four-mode intermediate is
-    never materialized as a dense matrix; weights below 1e-12 are pruned.
-    """
-
-    cutoff: int
-    branches: tuple          # ((weight, flat amplitudes), ...)
-    leakage: float = 0.0
-
-    def __post_init__(self):
-        total = sum(w for w, _ in self.branches)
-        if abs(total - 1.0) > tolerances().norm:
-            raise NumericalValidityError(f"branch weights sum to {total}, not 1")
-
-    @staticmethod
-    def from_state(state: State) -> "BranchEnsemble":
-        if isinstance(state, BranchEnsemble):
-            return state
-        if isinstance(state, FockStateVector):
-            if state.modes != 2:
-                raise ArgumentError("the protocol operates on two-mode states")
-            return BranchEnsemble(state.cutoff, ((1.0, state.amplitudes.copy()),),
-                                  leakage=state.leakage)
-        if state.modes != 2:
-            raise ArgumentError("the protocol operates on two-mode states")
-        lam, vec = np.linalg.eigh(state.matrix)
-        keep = lam > 1e-12
-        branches = tuple((float(w), vec[:, i].copy())
-                         for i, w in enumerate(lam) if keep[i])
-        total = sum(w for w, _ in branches)
-        branches = tuple((w / total, v) for w, v in branches)
-        return BranchEnsemble(state.cutoff, branches, leakage=state.leakage)
-
-    def to_density(self) -> DensityMatrix:
-        d2 = self.cutoff ** 2
-        mat = np.zeros((d2, d2), dtype=complex)
-        for w, v in self.branches:
-            mat += w * np.outer(v, v.conj())
-        mat = 0.5 * (mat + mat.conj().T)
-        return DensityMatrix(2, self.cutoff, mat / np.real(np.trace(mat)),
-                             leakage=self.leakage)
-
-    @property
-    def rank(self) -> int:
-        return len(self.branches)
 
 
 @dataclass(frozen=True)
@@ -110,20 +55,20 @@ def browne_state(variant: str, lam: float, cutoff: int = 8) -> DensityMatrix:
     Variant 'a' is the pure superposition (|00> + lam|11>)/sqrt(1+lam^2);
     variant 'b' keeps the same populations but halves the coherences (rank 2).
     """
-    if lam < 0:
+    if not lam >= 0:   # NaN fails this check
         raise ArgumentError("lambda must be >= 0")
     if cutoff < 2:
         raise ArgumentError("cutoff must be at least 2")
+    if variant not in ("a", "b"):
+        raise ArgumentError("variant must be 'a' or 'b'")
     d = cutoff
+    _check_dense_dim(d * d)
     norm = 1.0 + lam * lam
     i00, i11 = 0, 1 + d
     mat = np.zeros((d * d, d * d), dtype=complex)
     mat[i00, i00] = 1.0 / norm
     mat[i11, i11] = lam * lam / norm
-    off = lam / norm if variant == "a" else lam / (2.0 * norm)
-    if variant not in ("a", "b"):
-        raise ArgumentError("variant must be 'a' or 'b'")
-    mat[i00, i11] = mat[i11, i00] = off
+    mat[i00, i11] = mat[i11, i00] = lam / norm if variant == "a" else lam / (2.0 * norm)
     return DensityMatrix(2, d, mat)
 
 
@@ -148,24 +93,41 @@ def _vacuum_merge(d: int) -> np.ndarray:
     return merge
 
 
-def b_protocol_step(state) -> tuple[BranchEnsemble, float]:
+def _branches(state: State) -> list:
+    """(weight, amplitudes) pairs of a two-mode state: a vector is one branch,
+    a density its eigenvectors of weight above 1e-12, the weights renormalized
+    over those kept.  The eigenvectors are not renormalized: fig 9's noise
+    cells follow the iterates' last bits."""
+    if state.modes != 2:
+        raise ArgumentError("the protocol operates on two-mode states")
+    if isinstance(state, FockStateVector):
+        return [(1.0, state.amplitudes)]
+    lam, vec = np.linalg.eigh(state.matrix)
+    keep = np.flatnonzero(lam > 1e-12)
+    return [(float(w), vec[:, i]) for i, w in zip(keep, lam[keep] / lam[keep].sum())]
+
+
+def b_protocol_step(state: State) -> tuple[State, float]:
     """One round: mix two replicas pairwise on balanced beam splitters and keep
     the surviving pair when both ancilla modes project onto vacuum.
 
-    Returns (output ensemble, success probability).  The success probability is
-    the pre-normalization trace; the four-mode object is never formed, each
-    branch pair goes straight to its vacuum-projected two-mode amplitudes.
+    Returns (output state, success probability).  The input is split into
+    pure branches (``_branches``) and each branch pair goes straight to its
+    vacuum-projected two-mode amplitudes chi, so the four-mode object is never
+    formed.  The success probability is the pre-normalization trace; the
+    output is the normalized vector when one pair survives, else the
+    normalized mixture sum_ij w_i w_j chi chi^dag.
     """
-    ens = BranchEnsemble.from_state(state)
-    d = ens.cutoff
+    branches = _branches(state)
+    d = state.cutoff
     merge = _vacuum_merge(d)
 
     raw = []           # (weight_product, cropped chi)
     success = 0.0
     lost = 0.0
-    for wi, vi in ens.branches:
+    for wi, vi in branches:
         ti = vi.reshape(d, d)  # axes (nB1, nA1)
-        for wj, vj in ens.branches:
+        for wj, vj in branches:
             tj = vj.reshape(d, d)  # axes (nB2, nA2)
             chi = merge @ np.kron(ti, tj) @ merge.T   # axes (nB1, nA1)
             full = float(np.real(np.vdot(chi, chi)))
@@ -179,60 +141,58 @@ def b_protocol_step(state) -> tuple[BranchEnsemble, float]:
         raise NumericalValidityError(
             "post-selection success probability below 1e-12: degenerate input")
 
-    leak_step = max(lost, 0.0) / success
+    leakage = state.leakage + max(lost, 0.0) / success
     if len(raw) == 1:
-        w, chi = raw[0]
-        amps = chi.ravel()
-        amps = amps / np.linalg.norm(amps)
-        out = BranchEnsemble(d, ((1.0, amps),), leakage=ens.leakage + leak_step)
-        return out, success
+        amps = raw[0][1].ravel()
+        return FockStateVector(2, d, amps / np.linalg.norm(amps), leakage), success
 
-    d2 = d * d
-    mat = np.zeros((d2, d2), dtype=complex)
+    mat = np.zeros((d * d, d * d), dtype=complex)
     for w, chi in raw:
         v = chi.ravel()
         mat += w * np.outer(v, v.conj())
     mat = 0.5 * (mat + mat.conj().T)
-    mat /= np.real(np.trace(mat))
-    lam, vec = np.linalg.eigh(mat)
-    keep = lam > 1e-12
-    lam = lam[keep] / lam[keep].sum()
-    branches = tuple((float(w), vec[:, i].copy())
-                     for i, w in zip(np.flatnonzero(keep), lam))
-    out = BranchEnsemble(d, branches, leakage=ens.leakage + leak_step)
-    return out, success
+    return DensityMatrix(2, d, mat / np.real(np.trace(mat)), leakage), success
 
 
-def b_protocol_iterates(state, steps: int, leak_budget: float | None = 1e-4):
-    """Yield (step, ensemble, success probability) for steps 0 ... ``steps``;
-    step 0 is the input, with probability 1.
+def b_protocol_iterates(state: State, steps: int, leak_budget: float | None = 1e-4):
+    """Yield (step, state, success probability) for steps 0 ... ``steps``;
+    step 0 is the input, with probability 1, and a rank-1 density enters as
+    its eigenvector.
 
     Support grows with the step count, so the accumulated crop loss is
     re-checked each step against ``leak_budget`` (TruncationError beyond it).
     Pass None to disable the gate: near the photon-pumping regime the ideal
-    iterate genuinely outgrows any fixed cutoff, and each ensemble's leakage
+    iterate genuinely outgrows any fixed cutoff, and each iterate's leakage
     then discloses the loss instead.  The checks run when iteration starts.
     """
     if steps < 1:
         raise ArgumentError("steps must be >= 1")
-    ens = BranchEnsemble.from_state(state)
-    yield 0, ens, 1.0
+    branches = _branches(state)
+    if len(branches) == 1:
+        state = FockStateVector(2, state.cutoff, branches[0][1], state.leakage)
+    yield 0, state, 1.0
     for i in range(1, steps + 1):
-        ens, prob = b_protocol_step(ens)
-        if leak_budget is not None and ens.leakage > leak_budget:
+        state, prob = b_protocol_step(state)
+        if leak_budget is not None and state.leakage > leak_budget:
             raise TruncationError(
-                f"accumulated protocol leakage {ens.leakage:.3e} exceeds the "
+                f"accumulated protocol leakage {state.leakage:.3e} exceeds the "
                 f"run budget {leak_budget:.0e} at step {i}; raise the cutoff "
                 "or pass leak_budget=None to accept truncated iterates")
-        yield i, ens, prob
+        yield i, state, prob
 
 
-def iterate_delta_b(rho: DensityMatrix) -> float:
-    """delta_B of a protocol iterate's density, taken as the cropped,
-    renormalized state it is: an exactly representable state, so its leakage
-    is reset here and the ensemble's leakage reports how far that iterate
-    drifted from the ideal (uncropped) one."""
-    return delta_b(DensityMatrix(rho.modes, rho.cutoff, rho.matrix)).value
+def iterate_delta_b(state: State) -> float:
+    """delta_B of a protocol iterate, taken as the cropped, renormalized state
+    it is: an exactly representable state, so its leakage is reset here and
+    the iterate's leakage reports how far it drifted from the ideal
+    (uncropped) one.  A vector v is read as the density v v^dag / Tr, the
+    form whose last bits fig 9's noise cells follow."""
+    if isinstance(state, FockStateVector):
+        mat = np.outer(state.amplitudes, state.amplitudes.conj())
+        mat /= np.real(np.trace(mat))
+    else:
+        mat = state.matrix
+    return delta_b(DensityMatrix(state.modes, state.cutoff, mat)).value
 
 
 def entanglement_gain(en: float, en0: float) -> float | None:
@@ -248,14 +208,13 @@ def b_protocol_run(state, steps: int, leak_budget: float | None = 1e-4) -> Proto
     callers that read only some of these columns or steps (figures 9 and 10)
     loop over the iterates themselves and measure only what they read."""
     rows = []
-    for i, ens, prob in b_protocol_iterates(state, steps, leak_budget):
-        rho = ens.to_density()
-        en = log_negativity(rho)
+    for i, it, prob in b_protocol_iterates(state, steps, leak_budget):
+        en = log_negativity(it)
         if i == 0:
             en0 = en
-        rows.append({"step": i, "success_prob": prob, "delta_B": iterate_delta_b(rho),
+        rows.append({"step": i, "success_prob": prob, "delta_B": iterate_delta_b(it),
                      "E_N": en, "Delta_i": entanglement_gain(en, en0),
-                     "leakage": ens.leakage})
+                     "leakage": it.leakage})
     return ProtocolTrace(tuple(rows))
 
 
@@ -269,8 +228,6 @@ def log_negativity(state) -> float:
     Pure two-mode states go through the Schmidt route: ||psi^Gamma||_1 equals
     the squared sum of Schmidt coefficients, which scales to large cutoffs.
     """
-    if isinstance(state, BranchEnsemble):
-        state = state.to_density()
     if state.modes != 2:
         raise ArgumentError("log-negativity is defined here for two-mode states")
     if isinstance(state, FockStateVector):
@@ -291,11 +248,10 @@ def max_two_mode_ng(total_photons: float) -> float:
 
 def renormalized_ng(state) -> float:
     """delta_R = delta_B / max_two_mode_ng(N), in [0, 1]."""
-    rho = state.to_density() if isinstance(state, BranchEnsemble) else state
-    n = rho.energy()
+    n = state.energy()
     if n <= 1e-12:
         raise ArgumentError("renormalized nG is undefined for the vacuum (N = 0)")
-    value = delta_b(rho).value / max_two_mode_ng(n)
+    value = delta_b(state).value / max_two_mode_ng(n)
     if value > 1.0 + 1e-6:
         raise NumericalValidityError(f"renormalized nG {value} exceeds 1")
     return max(value, 0.0)

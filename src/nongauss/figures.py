@@ -214,8 +214,8 @@ def fig9_browne_window(seed=0, threads=1):
     def run(lam):
         iterates = b_protocol_iterates(browne_state("a", float(lam)), max(steps),
                                        leak_budget=None)
-        return [[float(lam), s, iterate_delta_b(ens.to_density()), ens.leakage]
-                for s, ens, _ in iterates if s in steps]
+        return [[float(lam), s, iterate_delta_b(it), it.leakage]
+                for s, it, _ in iterates if s in steps]
 
     rows = [row for group in _parallel_map(run, lams, threads) for row in group]
     meta = {"figure": 9, "steps": list(steps),
@@ -239,8 +239,8 @@ def fig10_browne_gain(seed=0, threads=1):
         state = browne_state(variant, float(lam))
         dr = renormalized_ng(state)
         gains, conv = [], max_steps        # gains[s] is Delta_s
-        for s, ens, _ in b_protocol_iterates(state, max_steps, leak_budget=None):
-            en = log_negativity(ens)
+        for s, it, _ in b_protocol_iterates(state, max_steps, leak_budget=None):
+            en = log_negativity(it)
             if s == 0:
                 en0 = en
             gains.append(entanglement_gain(en, en0))

@@ -353,6 +353,7 @@ def random_density_matrix(modes: int, cutoff: int, rank: int, seed=None) -> Dens
     dim = cutoff ** modes
     if not 1 <= rank <= dim:
         raise ArgumentError(f"rank must be in [1, {dim}], got {rank}")
+    _check_dense_dim(dim)
     rng = np.random.default_rng(seed)
     g = (rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank)))
     mat = g @ g.conj().T

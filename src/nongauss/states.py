@@ -10,7 +10,8 @@ import numpy as np
 
 from .config import tolerances
 from .errors import ArgumentError, TruncationError
-from .fock import DensityMatrix, FockStateVector, _log_factorials, shannon_entropy
+from .fock import (DensityMatrix, FockStateVector, _check_dense_dim, _log_factorials,
+                   shannon_entropy)
 from .gaussian import GaussianData, h, thermal_weights
 
 __all__ = [
@@ -108,8 +109,9 @@ def thermal(n_mean: float, cutoff: int) -> DensityMatrix:
     about cutoff * tail of n_mean; callers that match a mean photon number
     (e.g. the QFI bound's moment gate) rely on this.
     """
-    if n_mean < 0:
+    if not n_mean >= 0:   # NaN fails this check
         raise ArgumentError("thermal photon number must be >= 0")
+    _check_dense_dim(cutoff)
     full = thermal_weights(n_mean, max(_TAIL_SCAN, cutoff))
     _check_tail(full, cutoff, f"thermal({n_mean})")
     w = full[:cutoff]
@@ -169,11 +171,12 @@ def fock_superposition(n: int, k: int, cutoff: int) -> FockStateVector:
 def diagonal_mixture(weights, cutoff: int) -> DensityMatrix:
     """sum_n q_n |n><n| from a weight profile (may extend beyond the cutoff)."""
     q = np.asarray(weights, dtype=float).ravel()
-    if np.any(q < 0):
+    if not np.all(q >= 0):   # NaN fails these checks
         raise ArgumentError("mixture weights must be non-negative")
     total = q.sum()
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:
         raise ArgumentError(f"weights must sum to 1, got {total}")
+    _check_dense_dim(cutoff)
     _check_tail(q, cutoff, "diagonal_mixture")
     w = np.zeros(cutoff)
     w[:min(cutoff, q.size)] = q[:cutoff]
@@ -182,7 +185,7 @@ def diagonal_mixture(weights, cutoff: int) -> DensityMatrix:
 
 def poisson(lam: float, cutoff: int) -> DensityMatrix:
     """The Fock-diagonal state with Poisson(lam) photon-number statistics."""
-    if lam < 0:
+    if not lam >= 0:   # NaN fails this check
         raise ArgumentError("mean photon number must be >= 0")
     if lam == 0:
         return vacuum(cutoff).density()

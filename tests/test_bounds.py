@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -128,3 +130,12 @@ def test_thermal_reference_check_reads_both_moments():
     # coherent: <a> = alpha, <a^2> = alpha^2
     with pytest.raises(ArgumentError, match=r"\|<a>\| = 5\.00e-01, \|<a\^2>\| = 2\.50e-01"):
         epsilon_c(coherent(0.5, 40), 0.7)
+
+
+def test_nan_weights_are_argument_errors():
+    with pytest.raises(ArgumentError):
+        epsilon_a([math.nan, 1.0])
+    with pytest.raises(ArgumentError):
+        histogram_to_distribution([(0, math.nan), (1, 3.0)])
+    with pytest.raises(ArgumentError):
+        histogram_to_distribution([(0, math.inf), (1, 3.0)])

@@ -7,9 +7,10 @@ import pytest
 from nongauss import (ArgumentError, DensityMatrix, FockStateVector,
                       NumericalValidityError, delta_b, figures, random_density_matrix)
 from nongauss.channels import apply_beam_splitter_tensor, displace, squeeze
-from nongauss.distillation import (BranchEnsemble, _suggest_subtraction_cutoff,
-                                   _vacuum_merge, _vacuum_port_split, b_protocol_run,
-                                   b_protocol_step, browne_state, log_negativity,
+from nongauss.distillation import (_branches, _suggest_subtraction_cutoff,
+                                   _vacuum_merge, _vacuum_port_split,
+                                   b_protocol_iterates, b_protocol_run, b_protocol_step,
+                                   browne_state, iterate_delta_b, log_negativity,
                                    max_two_mode_ng, renormalized_ng,
                                    t_protocol_output)
 from nongauss.fock import tensor
@@ -24,6 +25,8 @@ def test_browne_states():
     assert np.sum(eigs > 1e-12) == 2 and eigs[0] > -1e-12
     with pytest.raises(ArgumentError):
         browne_state("c", 0.5)
+    with pytest.raises(ArgumentError):
+        browne_state("a", math.nan)
 
 
 def test_log_negativity():
@@ -52,14 +55,14 @@ def test_log_negativity_local_unitary_invariance():
 def test_b_protocol_vacuum_fixed_point():
     out, prob = b_protocol_step(vacuum(8, modes=2))
     assert abs(prob - 1.0) < 1e-12
-    assert delta_b(out.to_density()).value <= 1e-12
+    assert iterate_delta_b(out) <= 1e-12
 
 
 def test_b_protocol_gaussian_fixed_point():
     tb = pnes(PNESSpec("twin_beam", 0.25, 10))
     out, prob = b_protocol_step(tb)
     assert 0 < prob <= 1
-    assert delta_b(out.to_density()).value <= 1e-4
+    assert iterate_delta_b(out) <= 1e-4
 
 
 def test_b_protocol_success_probability_dense_reference():
@@ -91,11 +94,13 @@ def _padded_vacuum_projection(ti, tj, d):
 ], ids=["browne-b", "random-rank-2"])
 def test_b_protocol_step_matches_padded_beam_splitters(state):
     d = 6
-    ens = BranchEnsemble.from_state(state)
+    lam, vec = np.linalg.eigh(state.matrix)
+    keep = np.flatnonzero(lam > 1e-12)
+    branches = [(lam[i] / lam[keep].sum(), vec[:, i]) for i in keep]
     merge = _vacuum_merge(d)
     success, expect = 0.0, np.zeros((d * d, d * d), dtype=complex)
-    for wi, vi in ens.branches:
-        for wj, vj in ens.branches:
+    for wi, vi in branches:
+        for wj, vj in branches:
             ti, tj = vi.reshape(d, d), vj.reshape(d, d)
             chi = _padded_vacuum_projection(ti, tj, d)
             assert np.max(np.abs(merge @ np.kron(ti, tj) @ merge.T - chi)) <= 1e-12
@@ -105,7 +110,7 @@ def test_b_protocol_step_matches_padded_beam_splitters(state):
     out, prob = b_protocol_step(state)
     assert abs(prob - success) <= 1e-12
     expect /= np.trace(expect)
-    assert np.max(np.abs(out.to_density().matrix - expect)) <= 1e-12
+    assert np.max(np.abs(out.matrix - expect)) <= 1e-12
 
 
 def test_vacuum_merge_is_cached_read_only():
@@ -129,8 +134,9 @@ def test_vacuum_merge_rows_follow_the_binomial_law(d):
 def test_protocol_keeps_a_vectors_leakage():
     psi = tensor(displace(fock(1, 10), 0.6), fock(0, 10))
     assert psi.leakage > 1e-10
-    assert BranchEnsemble.from_state(psi).leakage == psi.leakage
-    assert BranchEnsemble.from_state(psi.density()).leakage == psi.leakage
+    for state in (psi, psi.density()):
+        _, start, _ = next(b_protocol_iterates(state, 1, leak_budget=None))
+        assert start.leakage == psi.leakage
     trace = b_protocol_run(psi, 1, leak_budget=None)
     assert trace.steps[0]["leakage"] == psi.leakage
     assert trace.steps[1]["leakage"] >= psi.leakage
@@ -277,9 +283,26 @@ def test_t_protocol_rejects_squeezing_beyond_the_scan(r):
     assert time.perf_counter() - start < 5.0
 
 
-def test_branch_ensemble_round_trip():
+def test_branches_of_a_rank_2_density_rebuild_it():
     rho = browne_state("b", 0.6)
-    ens = BranchEnsemble.from_state(rho)
-    assert ens.rank == 2
-    back = ens.to_density()
-    assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-10
+    branches = _branches(rho)
+    assert len(branches) == 2
+    back = sum(w * np.outer(v, v.conj()) for w, v in branches)
+    assert np.max(np.abs(back - rho.matrix)) < 1e-10
+
+
+def test_iterates_are_vectors_for_pure_inputs_and_densities_for_mixed_ones():
+    d, lam = 8, 0.6
+    amps = np.zeros(d * d, dtype=complex)
+    amps[0], amps[1 + d] = 1.0, lam
+    psi = FockStateVector(2, d, amps / np.linalg.norm(amps))
+    assert all(isinstance(it, FockStateVector)
+               for _, it, _ in b_protocol_iterates(psi, 5, leak_budget=None))
+    assert all(isinstance(it, DensityMatrix)
+               for _, it, _ in b_protocol_iterates(browne_state("b", lam), 5,
+                                                   leak_budget=None))
+    # a rank-1 density enters as its eigenvector exactly as eigh returns it
+    rho = browne_state("a", lam)
+    _, start, _ = next(b_protocol_iterates(rho, 1))
+    assert isinstance(start, FockStateVector)
+    assert np.array_equal(start.amplitudes, np.linalg.eigh(rho.matrix)[1][:, -1])

@@ -1,14 +1,20 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from nongauss import (ArgumentError, TruncationError, delta_b, moments,
-                      partial_trace, von_neumann_entropy)
+from nongauss import (ArgumentError, ResourceError, Tolerances, TruncationError,
+                      delta_b, moments, partial_trace, random_density_matrix,
+                      von_neumann_entropy)
+from nongauss.config import using
+from nongauss.distillation import browne_state
 from nongauss.gaussian import h
 from nongauss.states import (PNESSpec, _coherent_amplitudes, cat, coherent,
                              delta_a_diagonal, delta_b_diagonal, diagonal_mixture,
                              fock, fock_superposition, pnes, pnes_coefficients,
-                             pnes_entanglement, pnes_structured_cm,
+                             pnes_entanglement, pnes_structured_cm, poisson,
                              squeezed_vacuum, thermal)
 
 
@@ -154,3 +160,34 @@ def test_pnes_entanglement_is_schmidt_entropy():
 def test_pasv_starts_at_one():
     psi = pnes_coefficients(PNESSpec("pasv", 0.2, 12))
     assert psi[0] == 0.0 and psi[1] > 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: thermal(0.5, 400),
+    lambda: diagonal_mixture(np.full(400, 1 / 400), 400),
+    lambda: poisson(2.0, 400),
+    lambda: browne_state("a", 0.5, 20),
+    lambda: random_density_matrix(1, 400, 1, seed=0),
+], ids=["thermal", "diagonal_mixture", "poisson", "browne_state", "random_density_matrix"])
+def test_dense_constructors_check_the_cap_before_they_allocate(build):
+    # each state is a 400 x 400 complex matrix (2.6 MB) above a cap of 16
+    with using(Tolerances(max_dense_dim=16)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("build", [
+    lambda: diagonal_mixture([math.nan, 1.0], 5),
+    lambda: diagonal_mixture([0.5, math.nan, 0.5], 5),
+    lambda: thermal(math.nan, 5),
+    lambda: poisson(math.nan, 5),
+], ids=["mixture-first", "mixture-middle", "thermal", "poisson"])
+def test_nan_arguments_are_argument_errors(build):
+    with pytest.raises(ArgumentError):
+        build()
