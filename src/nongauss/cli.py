@@ -24,7 +24,8 @@ from .channels import _OPERATIONS, ChannelSpec, _signature, apply_channel
 from .distillation import (b_protocol_run, browne_state, log_negativity,
                            t_protocol_output)
 from .errors import ArgumentError, NonGaussError
-from .fock import DensityMatrix, FockStateVector, MeasureReport, purity, von_neumann_entropy
+from .fock import (FockStateVector, MeasureReport, purity, state_from_json,
+                   von_neumann_entropy)
 from .figures import _parallel_map, build_figure
 from .gaussian import moments
 from .measures import QuadratureGrid, delta_a, delta_b, delta_c
@@ -108,7 +109,7 @@ def parse_state(spec: str, cutoff: int):
         path = Path(spec.lstrip("@"))
         if not path.exists():
             raise ArgumentError(f"state file {path} not found")
-        return _state_from_json(path.read_text())
+        return state_from_json(path.read_text())
     name, _, rest = spec.partition(":")
     try:
         if name in _FAMILIES:
@@ -122,24 +123,6 @@ def parse_state(spec: str, cutoff: int):
     except (IndexError, ValueError) as exc:
         raise ArgumentError(f"malformed state spec {spec!r}: {exc}") from None
     raise ArgumentError(f"unknown state family {name!r}")
-
-
-def _state_from_json(text: str):
-    try:
-        obj = json.loads(text)
-        dim = int(obj["cutoff"]) ** int(obj["modes"])
-        values = np.asarray([obj["re"], obj["im"]], dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite amplitude")
-        if values.shape[1] == dim:
-            return FockStateVector.from_json(text)
-        if values.shape[1] == dim * dim:
-            return DensityMatrix.from_json(text)
-    except KeyError as exc:
-        raise ArgumentError(f"state JSON lacks the key {exc}") from None
-    except (ValueError, TypeError, IndexError) as exc:
-        raise ArgumentError(f"malformed state JSON: {exc}") from None
-    raise ArgumentError("state JSON length matches neither a vector nor a matrix")
 
 
 def parse_channel(spec: str) -> ChannelSpec:

@@ -24,7 +24,7 @@ from .errors import ArgumentError, NumericalValidityError, ResourceError
 __all__ = [
     "FockStateVector", "DensityMatrix", "MeasureReport",
     "destroy", "mode_operator",
-    "tensor", "partial_trace", "partial_transpose",
+    "state_from_json", "tensor", "partial_trace", "partial_transpose",
     "purity", "overlap", "von_neumann_entropy", "shannon_entropy",
     "random_density_matrix",
 ]
@@ -34,7 +34,7 @@ __all__ = [
 # elementary operators
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def destroy(dim: int) -> np.ndarray:
     """Annihilation operator on a dim-level truncated mode."""
     a = np.zeros((dim, dim), dtype=complex)
@@ -44,19 +44,20 @@ def destroy(dim: int) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=None)
-def _log_factorials(n: int) -> np.ndarray:
-    """ln k! for k < n, read-only, from math.lgamma.
+_LOG_FACTORIALS = np.empty(0)   # ln k! for k below its size, grown by _log_factorials
 
-    scipy.special.gammaln agrees to 1e-13 relative, but importing
-    scipy.special adds about 0.35 s to a one-shot CLI process, against
-    0.2 s for ``import nongauss`` without scipy (2-core VM).  The cache
-    keeps the 4096-level tail scans of the state constructors from paying
-    4096 lgamma calls (about 1 ms) each.
-    """
-    table = np.fromiter(map(math.lgamma, range(1, n + 1)), dtype=float, count=n)
-    table.setflags(write=False)
-    return table
+
+def _log_factorials(n: int) -> np.ndarray:
+    """ln k! for k < n, read-only: a slice of one math.lgamma table that at least
+    doubles when outgrown (importing scipy.special for gammaln would add about
+    0.35 s to a one-shot CLI process, against 0.2 s for ``import nongauss``)."""
+    global _LOG_FACTORIALS
+    if _LOG_FACTORIALS.size < n:
+        size = max(n, 2 * _LOG_FACTORIALS.size)
+        table = np.fromiter(map(math.lgamma, range(1, size + 1)), dtype=float, count=size)
+        table.setflags(write=False)
+        _LOG_FACTORIALS = table
+    return _LOG_FACTORIALS[:n]
 
 
 def mode_operator(op: np.ndarray, mode: int, modes: int, cutoff: int) -> np.ndarray:
@@ -133,19 +134,11 @@ class FockStateVector:
                              np.outer(self.amplitudes, self.amplitudes.conj()), self.leakage)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "modes": self.modes, "cutoff": self.cutoff,
-            "re": self.amplitudes.real.tolist(),
-            "im": self.amplitudes.imag.tolist(),
-            "leakage": self.leakage,
-        })
+        return _state_json(self, self.amplitudes)
 
     @staticmethod
     def from_json(text: str) -> "FockStateVector":
-        obj = json.loads(text)
-        amps = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-        return FockStateVector(int(obj["modes"]), int(obj["cutoff"]), amps,
-                               float(obj.get("leakage", 0.0)))
+        return state_from_json(text, FockStateVector)
 
 
 @dataclass(frozen=True)
@@ -195,24 +188,44 @@ class DensityMatrix:
         return float(np.sum(self.photon_numbers()))
 
     def to_json(self) -> str:
-        flat = self.matrix.ravel()
-        return json.dumps({
-            "modes": self.modes, "cutoff": self.cutoff,
-            "re": flat.real.tolist(), "im": flat.imag.tolist(),
-            "leakage": self.leakage,
-        })
+        return _state_json(self, self.matrix.ravel())
 
     @staticmethod
     def from_json(text: str) -> "DensityMatrix":
-        obj = json.loads(text)
-        dim = int(obj["cutoff"]) ** int(obj["modes"])
-        mat = (np.asarray(obj["re"], dtype=float)
-               + 1j * np.asarray(obj["im"], dtype=float)).reshape(dim, dim)
-        return DensityMatrix(int(obj["modes"]), int(obj["cutoff"]), mat,
-                             float(obj.get("leakage", 0.0)))
+        return state_from_json(text, DensityMatrix)
 
 
 State = FockStateVector | DensityMatrix
+
+
+def _state_json(state: State, flat: np.ndarray) -> str:
+    return json.dumps({"modes": state.modes, "cutoff": state.cutoff, "re": flat.real.tolist(),
+                       "im": flat.imag.tolist(), "leakage": state.leakage})
+
+
+def state_from_json(text: str, kind: type | None = None) -> State:
+    """The state ``to_json`` wrote (a `kind` one if given): "re" and "im" hold
+    cutoff**modes entries for a vector, their square for a matrix.  Malformed
+    text (not JSON, a missing key, a non-numeric, non-finite or ragged entry,
+    lists of the wrong length) is an ArgumentError."""
+    try:
+        obj = json.loads(text)
+        modes, cutoff = int(obj["modes"]), int(obj["cutoff"])
+        values = np.asarray([obj["re"], obj["im"]], dtype=float)
+        leakage = float(obj.get("leakage", 0.0))
+    except KeyError as exc:
+        raise ArgumentError(f"state JSON lacks the key {exc}") from None
+    except (ValueError, TypeError) as exc:   # JSONDecodeError is a ValueError
+        raise ArgumentError(f"malformed state JSON: {exc}") from None
+    if not np.all(np.isfinite(values)):
+        raise ArgumentError("state JSON holds a non-finite entry")
+    amps, dim = values[0] + 1j * values[1], cutoff ** max(modes, 0)
+    if amps.size == dim and kind is not DensityMatrix:
+        return FockStateVector(modes, cutoff, amps, leakage)
+    if amps.size == dim * dim and kind is not FockStateVector:
+        return DensityMatrix(modes, cutoff, amps.reshape(dim, dim), leakage)
+    raise ArgumentError(f"state JSON: {amps.size} entries fit no {modes}-mode "
+                        f"{getattr(kind, '__name__', 'state')} at cutoff {cutoff}")
 
 
 def _photon_numbers(populations: np.ndarray, modes: int, cutoff: int) -> np.ndarray:

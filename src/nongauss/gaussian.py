@@ -102,7 +102,7 @@ def _ladder(t: np.ndarray, axis: int, lower: bool) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=4)   # a two-mode set at cutoff 40 is 190 MB
 def _moment_operators(modes: int, dim: int):
     """Quadrature operators (q1, p1, ...) on an n-mode space of per-mode dim."""
     a = destroy(dim)

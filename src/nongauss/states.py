@@ -3,6 +3,7 @@ cat states, coherent/thermal/squeezed states and the two-mode PNES families."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -14,39 +15,63 @@ from .fock import (DensityMatrix, FockStateVector, _check_dense_dim, _log_factor
                    shannon_entropy)
 from .gaussian import GaussianData, h, thermal_weights
 
-__all__ = [
-    "vacuum", "fock", "coherent", "thermal", "squeezed_vacuum",
-    "fock_superposition", "diagonal_mixture", "poisson", "cat",
-    "PNESSpec", "pnes", "pnes_coefficients", "pnes_structured_cm", "pnes_entanglement",
-    "delta_a_diagonal", "delta_b_diagonal",
-]
+__all__ = ["vacuum", "fock", "coherent", "thermal", "squeezed_vacuum",
+           "fock_superposition", "diagonal_mixture", "poisson", "cat",
+           "PNESSpec", "pnes", "pnes_coefficients", "pnes_structured_cm",
+           "pnes_entanglement", "delta_a_diagonal", "delta_b_diagonal"]
 
-_TAIL_SCAN = 4096  # how far coefficient tails are scanned before giving up
-_POISSON_SCAN_MAX = 1 << 16  # longest Poisson profile scanned for the tail check
+_SCAN_MAX = 1 << 16  # longest profile scanned to name a minimal adequate cutoff
 
 
-def _check_tail(weights: np.ndarray, cutoff: int, what: str) -> None:
-    """weights: full |amplitude|^2 profile (may extend beyond cutoff)."""
-    tail = float(np.sum(weights[cutoff:]))
-    if tail > tolerances().tail:
-        good = np.flatnonzero(np.cumsum(weights) >= 1.0 - tolerances().tail)
-        hint = f"; minimal adequate cutoff is {good[0] + 1}" if good.size else ""
-        raise TruncationError(
-            f"{what}: coefficient mass {tail:.3e} beyond cutoff {cutoff} "
-            f"exceeds tail_tol{hint}")
+def _check_finite(cutoff: int, **params) -> None:
+    """ArgumentError for a cutoff below 1 or a NaN or infinite parameter."""
+    bad = [f"{name} = {value} is not finite" for name, value in params.items()
+           if not cmath.isfinite(value)]
+    if cutoff < 1 or bad:
+        raise ArgumentError(bad[0] if bad else f"cutoff must be >= 1, got {cutoff}")
+
+
+def _crop(levels, total: float, cutoff: int, what: str, weigh=lambda v: np.abs(v) ** 2):
+    """levels(cutoff), the first levels of a profile (amplitudes, or weights with
+    `weigh` the identity) whose weights sum to `total`, and the mass they drop,
+    max(1 - kept / total, 0).  A drop above tolerances().tail is a TruncationError
+    naming the minimal adequate cutoff, read off levels(n), n doubling to _SCAN_MAX."""
+    kept, tail = levels(cutoff), tolerances().tail
+    leak = max(1.0 - float(np.sum(weigh(kept))) / total, 0.0)
+    if leak > tail:
+        n, hint = cutoff, f"the profile extends beyond {_SCAN_MAX} levels"
+        while n < _SCAN_MAX:
+            n = min(2 * n, _SCAN_MAX)
+            good = np.flatnonzero(np.cumsum(weigh(levels(n))) >= (1.0 - tail) * total)
+            if good.size:
+                hint = f"minimal adequate cutoff is {good[0] + 1}"
+                break
+        raise TruncationError(f"{what}: coefficient mass {leak:.3e} beyond cutoff "
+                              f"{cutoff} exceeds tail_tol; {hint}")
+    return kept, leak
+
+
+def _state(levels, total: float, cutoff: int, what: str, pure: bool = True):
+    """The single-mode state of the first `cutoff` of levels(n), amplitudes if
+    `pure` else Fock-diagonal weights, renormalized; its leakage is the dropped mass."""
+    if pure:
+        amps, leak = _crop(levels, total, cutoff, what)
+        return FockStateVector(1, cutoff, amps / np.linalg.norm(amps), leak)
+    _check_dense_dim(cutoff)
+    w, leak = _crop(levels, total, cutoff, what, weigh=np.asarray)
+    return DensityMatrix(1, cutoff, np.diag(w / w.sum()).astype(complex), leak)
 
 
 def vacuum(cutoff: int, modes: int = 1) -> FockStateVector:
+    _check_finite(cutoff)
     amps = np.zeros(cutoff ** modes, dtype=complex)
     amps[0] = 1.0
     return FockStateVector(modes, cutoff, amps)
 
 
 def fock(n: int, cutoff: int) -> FockStateVector:
-    if n < 0:
-        raise ArgumentError("n must be >= 0")
-    if n >= cutoff:
-        raise ArgumentError(f"fock({n}) needs cutoff > {n}")
+    if not 0 <= n < cutoff:
+        raise ArgumentError("n must be >= 0" if n < 0 else f"fock({n}) needs cutoff > {n}")
     amps = np.zeros(cutoff, dtype=complex)
     amps[n] = 1.0
     return FockStateVector(1, cutoff, amps)
@@ -79,10 +104,9 @@ def _coherent_amplitudes(alphas, dim: int) -> np.ndarray:
         block[m, cols] = np.exp(logc[m, cols] + 1j * m * np.angle(a[low[cols]]))
         out[:, low] = block
     # the same recursion either way, to an ulp per step: np.multiply.accumulate
-    # runs a scalar loop down each column, so from a few hundred columns on
-    # (Husimi grid chunks) one vectorised multiply per level is about twice as
-    # fast, while for the one or two columns of coherent and cat it would pay
-    # the per-call overhead on every one of up to 4096 levels
+    # runs a scalar loop down each column, so for a few hundred columns (Husimi
+    # grid chunks) one vectorised multiply per level is about twice as fast, but
+    # for the one or two columns of coherent and cat it pays a call per level
     if a.size < 256:
         np.multiply.accumulate(out, axis=0, out=out)
     else:
@@ -94,28 +118,22 @@ def _coherent_amplitudes(alphas, dim: int) -> np.ndarray:
 
 
 def coherent(alpha: complex, cutoff: int) -> FockStateVector:
-    full = _coherent_amplitudes(alpha, max(_TAIL_SCAN, cutoff))[:, 0]
-    _check_tail(np.abs(full) ** 2, cutoff, f"coherent({alpha})")
-    amps = full[:cutoff]
-    return FockStateVector(1, cutoff, amps / np.linalg.norm(amps))
+    _check_finite(cutoff, alpha=alpha)
+    return _state(lambda n: _coherent_amplitudes(alpha, n)[:, 0], 1.0, cutoff,
+                  f"coherent({alpha})")
 
 
 def thermal(n_mean: float, cutoff: int) -> DensityMatrix:
     """Thermal state nu(n_mean): Gibbs weights cropped at `cutoff`, then renormalized.
 
-    Raises TruncationError, naming the minimal adequate cutoff, whenever the
-    mass T beyond the cutoff exceeds tolerances().tail. An accepted state
-    therefore has mean photon number n_mean - cutoff * T / (1 - T), i.e. within
-    about cutoff * tail of n_mean; callers that match a mean photon number
-    (e.g. the QFI bound's moment gate) rely on this.
+    The cropped mass T = (n_mean / (n_mean + 1))^cutoff is the leakage, and the mean
+    photon number is n_mean - cutoff * T / (1 - T); the QFI bound's moment gate relies on this.
     """
-    if not n_mean >= 0:   # NaN fails this check
+    _check_finite(cutoff, n_mean=n_mean)
+    if not n_mean >= 0:
         raise ArgumentError("thermal photon number must be >= 0")
-    _check_dense_dim(cutoff)
-    full = thermal_weights(n_mean, max(_TAIL_SCAN, cutoff))
-    _check_tail(full, cutoff, f"thermal({n_mean})")
-    w = full[:cutoff]
-    return DensityMatrix(1, cutoff, np.diag(w / w.sum()).astype(complex))
+    return _state(lambda n: thermal_weights(n_mean, n), 1.0, cutoff, f"thermal({n_mean})",
+                  pure=False)
 
 
 def _squeezed_vacuum_amplitudes(r: float, phi: float, nmax: int) -> np.ndarray:
@@ -129,19 +147,16 @@ def _squeezed_vacuum_amplitudes(r: float, phi: float, nmax: int) -> np.ndarray:
     lf = _log_factorials(nmax)
     logmag = (0.5 * lf[2 * m] - m * math.log(2.0) - lf[m]
               + m * math.log(t) - 0.5 * math.log(math.cosh(r)))
-    vals = np.exp(logmag) * (-np.exp(-1j * phi)) ** m
-    sel = 2 * m < nmax
-    amps[2 * m[sel]] = vals[sel]
+    amps[::2] = np.exp(logmag) * (-np.exp(-1j * phi)) ** m
     return amps
 
 
 def squeezed_vacuum(r: float, cutoff: int, phi: float = 0.0) -> FockStateVector:
+    _check_finite(cutoff, r=r, phi=phi)
     if r < 0:
         raise ArgumentError("squeezing magnitude must be >= 0")
-    full = _squeezed_vacuum_amplitudes(r, phi, max(_TAIL_SCAN, cutoff))
-    _check_tail(np.abs(full) ** 2, cutoff, f"squeezed_vacuum({r})")
-    amps = full[:cutoff]
-    return FockStateVector(1, cutoff, amps / np.linalg.norm(amps))
+    return _state(lambda n: _squeezed_vacuum_amplitudes(r, phi, n), 1.0, cutoff,
+                  f"squeezed_vacuum({r})")
 
 
 def fock_superposition(n: int, k: int, cutoff: int) -> FockStateVector:
@@ -150,21 +165,16 @@ def fock_superposition(n: int, k: int, cutoff: int) -> FockStateVector:
     k in {1, 2} is rejected: those superpositions have nonzero <a> or <a^2>,
     so the thermal-reference closed forms this family is built for do not apply.
     """
-    if n < 0:
-        raise ArgumentError("n must be >= 0")
+    if n < 0 or k < 0:
+        raise ArgumentError("n and k must be >= 0")
     if k in (1, 2):
         raise ArgumentError(
             f"k = {k} rejected: <a> or <a^2> is nonzero and the thermal-reference "
             "closed forms do not hold; use k = 0 or k > 2")
-    if k < 0:
-        raise ArgumentError("k must be >= 0")
     if cutoff <= n + k:
         raise ArgumentError(f"cutoff must exceed n + k = {n + k}")
     amps = np.zeros(cutoff, dtype=complex)
-    if k == 0:
-        amps[n] = 1.0
-    else:
-        amps[n] = amps[n + k] = 1.0 / math.sqrt(2)
+    amps[[n, n + k]] = 1.0 / math.sqrt(2) if k else 1.0
     return FockStateVector(1, cutoff, amps)
 
 
@@ -176,28 +186,20 @@ def diagonal_mixture(weights, cutoff: int) -> DensityMatrix:
     total = q.sum()
     if not abs(total - 1.0) <= 1e-6:
         raise ArgumentError(f"weights must sum to 1, got {total}")
-    _check_dense_dim(cutoff)
-    _check_tail(q, cutoff, "diagonal_mixture")
-    w = np.zeros(cutoff)
-    w[:min(cutoff, q.size)] = q[:cutoff]
-    return DensityMatrix(1, cutoff, np.diag(w / w.sum()).astype(complex))
+    return _state(lambda n: np.concatenate([q[:n], np.zeros(max(n - q.size, 0))]),
+                  total, cutoff, "diagonal_mixture", pure=False)
 
 
 def poisson(lam: float, cutoff: int) -> DensityMatrix:
-    """The Fock-diagonal state with Poisson(lam) photon-number statistics."""
-    if not lam >= 0:   # NaN fails this check
+    """The Fock-diagonal state with Poisson(lam) photon-number statistics, each
+    weight taken in log space, where none underflows before its level does."""
+    _check_finite(cutoff, lam=lam)
+    if not lam >= 0:
         raise ArgumentError("mean photon number must be >= 0")
     if lam == 0:
         return vacuum(cutoff).density()
-    # scan 12 standard deviations past the mean, for the tail check and its hint,
-    # and normalize in log space, where no weight underflows to a 0/0
-    levels = max(4 * cutoff, 256, math.ceil(lam + 12 * math.sqrt(lam) + 12))
-    if levels > _POISSON_SCAN_MAX:
-        raise TruncationError(f"poisson({lam}): the photon-number profile "
-                              f"extends beyond {_POISSON_SCAN_MAX} levels")
-    logw = np.arange(levels) * math.log(lam) - _log_factorials(levels)
-    w = np.exp(logw - logw.max())
-    return diagonal_mixture(w / w.sum(), cutoff)
+    return _state(lambda n: np.exp(np.arange(n) * math.log(lam) - lam - _log_factorials(n)),
+                  1.0, cutoff, f"poisson({lam})", pure=False)
 
 
 def delta_a_diagonal(weights) -> float:
@@ -221,16 +223,17 @@ def cat(alpha: complex, phi: float, cutoff: int) -> FockStateVector:
     """cos(phi)|alpha> + sin(phi)|-alpha>, normalized.
 
     phi = +pi/4 is the even cat, -pi/4 the odd cat.  Real alpha is the primary
-    regime (parity properties are stated for real amplitudes).
+    regime (parity properties are stated for real amplitudes).  The squared norm
+    1 + sin(2 phi) e^{-2|alpha|^2} is taken in expm1 form, exact for the odd cat.
     """
-    nmax = max(_TAIL_SCAN, cutoff)
-    plus, minus = _coherent_amplitudes([alpha, -alpha], nmax).T
-    full = math.cos(phi) * plus + math.sin(phi) * minus
-    nrm = np.linalg.norm(full)
-    full = full / nrm
-    _check_tail(np.abs(full) ** 2, cutoff, f"cat({alpha}, {phi})")
-    amps = full[:cutoff]
-    return FockStateVector(1, cutoff, amps / np.linalg.norm(amps))
+    _check_finite(cutoff, alpha=alpha, phi=phi)
+    s = math.sin(2 * phi)
+    total = (1.0 + s) + s * math.expm1(-2 * abs(alpha) ** 2)
+    if not total > 0:
+        raise ArgumentError(f"cat({alpha}, {phi}) has vanishing norm")
+    mix = [math.cos(phi), math.sin(phi)]
+    return _state(lambda n: _coherent_amplitudes([alpha, -alpha], n) @ mix, total, cutoff,
+                  f"cat({alpha}, {phi})")
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +253,15 @@ class PNESSpec:
         object.__setattr__(self, "family", fam)
         if fam not in ("twin_beam", "tmc", "pssv", "pasv"):
             raise ArgumentError(f"unknown PNES family {self.family!r}")
+        _check_finite(self.cutoff, parameter=self.parameter)
         if fam != "tmc" and not 0.0 <= self.parameter < 1.0:
             raise ArgumentError(f"{fam} requires 0 <= x < 1, got {self.parameter}")
 
 
 def pnes_coefficients(spec: PNESSpec, nmax: int | None = None) -> np.ndarray:
-    """Normalized psi_n profile, computed well beyond the cutoff for tail checks."""
-    if nmax is None:
-        nmax = max(_TAIL_SCAN, spec.cutoff)
+    """Normalized psi_n profile over nmax levels, by default a 4096-level window
+    (tmc's norm I_0(2x) has no stdlib closed form)."""
+    nmax = nmax or max(4096, spec.cutoff)
     n = np.arange(nmax, dtype=float)
     x = spec.parameter
     if spec.family == "twin_beam":
@@ -281,13 +285,12 @@ def pnes_coefficients(spec: PNESSpec, nmax: int | None = None) -> np.ndarray:
 
 
 def pnes(spec: PNESSpec) -> FockStateVector:
-    psi = pnes_coefficients(spec)
-    _check_tail(psi ** 2, spec.cutoff, f"pnes {spec.family}({spec.parameter})")
-    d = spec.cutoff
+    """The PNES of `spec`; its leakage is the share of the coefficient window past the cutoff."""
+    d, psi = spec.cutoff, pnes_coefficients(spec)
+    _, leak = _crop(lambda n: psi[:n], 1.0, d, f"pnes {spec.family}({spec.parameter})")
     amps = np.zeros(d * d, dtype=complex)
-    idx = np.arange(d) * (d + 1)  # |n>|n| -> flat n + d*n
-    amps[idx] = psi[:d]
-    return FockStateVector(2, d, amps / np.linalg.norm(amps))
+    amps[np.arange(d) * (d + 1)] = psi[:d]  # |n>|n> -> flat n + d*n
+    return FockStateVector(2, d, amps / np.linalg.norm(amps), leak)
 
 
 def pnes_structured_cm(spec: PNESSpec) -> tuple[float, float, GaussianData]:
@@ -296,13 +299,10 @@ def pnes_structured_cm(spec: PNESSpec) -> tuple[float, float, GaussianData]:
     n = np.arange(psi.size, dtype=float)
     N = float(np.dot(psi ** 2, n))
     C = float(np.sum(psi[:-1] * psi[1:] * (n[:-1] + 1)))
-    a = (N + 0.5) * np.eye(2)
-    c = np.diag([C, -C])
-    sigma = np.block([[a, c], [c, a]])
-    return N, C, GaussianData(np.zeros(4), sigma)
+    a, c = (N + 0.5) * np.eye(2), np.diag([C, -C])
+    return N, C, GaussianData(np.zeros(4), np.block([[a, c], [c, a]]))
 
 
 def pnes_entanglement(spec: PNESSpec) -> float:
     """Entanglement entropy -sum psi_n^2 log psi_n^2 of the PNES."""
-    psi = pnes_coefficients(spec)
-    return shannon_entropy(psi ** 2)
+    return shannon_entropy(pnes_coefficients(spec) ** 2)

@@ -207,6 +207,21 @@ def test_json_round_trip():
     assert set(obj) == {"modes", "cutoff", "re", "im", "leakage"}
 
 
+@pytest.mark.parametrize("kind, entries", [(FockStateVector, 2), (DensityMatrix, 4)],
+                         ids=["vector", "density"])
+@pytest.mark.parametrize("text", [
+    '{{"modes": 1, "re": {re}, "im": {im}}}',
+    '{{"modes": 1, "cutoff": 2, "re": {re}, "im": {im}',
+    '{{"modes": 1, "cutoff": 2, "re": {re_text}, "im": {im}}}',
+    '{{"modes": 1, "cutoff": 2, "re": {re}, "im": [0.0]}}',
+], ids=["missing-key", "not-json", "non-numeric", "im-length"])
+def test_malformed_state_json_is_an_argument_error(kind, entries, text):
+    re = [1.0] + [0.0] * (entries - 1)
+    text = text.format(re=re, im=[0.0] * entries, re_text=json.dumps(re[:-1] + ["x"]))
+    with pytest.raises(ArgumentError, match="state JSON"):
+        kind.from_json(text)
+
+
 def test_vector_leakage_is_carried():
     with pytest.raises(ArgumentError, match="leakage"):
         FockStateVector(1, 3, [1, 0, 0], leakage=-1e-3)

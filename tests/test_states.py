@@ -8,6 +8,7 @@ from scipy.special import gammaln
 from nongauss import (ArgumentError, ResourceError, Tolerances, TruncationError,
                       delta_b, moments, partial_trace, random_density_matrix,
                       von_neumann_entropy)
+from nongauss import states
 from nongauss.config import using
 from nongauss.distillation import browne_state
 from nongauss.gaussian import h
@@ -15,7 +16,7 @@ from nongauss.states import (PNESSpec, _coherent_amplitudes, cat, coherent,
                              delta_a_diagonal, delta_b_diagonal, diagonal_mixture,
                              fock, fock_superposition, pnes, pnes_coefficients,
                              pnes_entanglement, pnes_structured_cm, poisson,
-                             squeezed_vacuum, thermal)
+                             squeezed_vacuum, thermal, vacuum)
 
 
 def test_standard_constructors():
@@ -61,6 +62,78 @@ def test_tail_errors_suggest_cutoff():
         coherent(3.0, 12)
     with pytest.raises(TruncationError):
         thermal(1.0, 20)
+
+
+def _poisson_weights(lam, levels=4096):
+    n = np.arange(levels)
+    return np.exp(n * math.log(lam) - lam - gammaln(n + 1))
+
+
+def _squeezed_weights(r, levels=4096):
+    # |<2m|S(r)|0>|^2 = tanh(r)^(2m) (2m)! / (4^m (m!)^2 cosh r), odd levels empty
+    m = np.arange(levels // 2)
+    w = np.zeros(levels)
+    w[::2] = np.exp(2 * m * math.log(math.tanh(r)) + gammaln(2 * m + 1)
+                    - 2 * m * math.log(2) - 2 * gammaln(m + 1) - math.log(math.cosh(r)))
+    return w
+
+
+def _cat_weights(alpha, phi, levels=4096):
+    # real alpha: <n|-alpha> = (-1)^n <n|alpha>, norm^2 1 + sin(2 phi) e^{-2 alpha^2}
+    parity = (-1.0) ** np.arange(levels)
+    return (_poisson_weights(alpha ** 2, levels) * (math.cos(phi) + parity * math.sin(phi)) ** 2
+            / (1 + math.sin(2 * phi) * math.exp(-2 * alpha ** 2)))
+
+
+@pytest.mark.parametrize("build, weights", [
+    (lambda: coherent(3.0, 35), lambda: _poisson_weights(9.0)),
+    (lambda: coherent(1.5j, 18), lambda: _poisson_weights(2.25)),
+    (lambda: squeezed_vacuum(1.0, 80), lambda: _squeezed_weights(1.0)),
+    (lambda: squeezed_vacuum(0.5, 27, phi=0.3), lambda: _squeezed_weights(0.5)),
+    (lambda: thermal(1.0, 34), lambda: 0.5 ** np.arange(1, 4097)),
+    (lambda: poisson(2.0, 17), lambda: _poisson_weights(2.0)),
+    (lambda: diagonal_mixture([0.5, 0.3, 0.2 - 3e-11, 3e-11], 3),
+     lambda: [0.5, 0.3, 0.2 - 3e-11, 3e-11]),
+    (lambda: cat(2.0, 0.3, 23), lambda: _cat_weights(2.0, 0.3)),
+    (lambda: cat(0.5, -math.pi / 4, 8), lambda: _cat_weights(0.5, -math.pi / 4)),
+    (lambda: cat(5.0, 0.7, 63), lambda: _cat_weights(5.0, 0.7)),
+    (lambda: pnes(PNESSpec("twin_beam", 0.3, 10)),
+     lambda: pnes_coefficients(PNESSpec("twin_beam", 0.3, 10)) ** 2),
+], ids=["coherent", "coherent-imaginary", "squeezed", "squeezed-phase", "thermal", "poisson",
+        "mixture", "cat", "odd-cat", "cat-large", "pnes"])
+def test_leakage_is_the_mass_past_the_cutoff(build, weights):
+    # each cutoff is the minimal adequate one, so the leakage is 1e-11 to 1e-10
+    state = build()
+    direct = float(np.sum(np.asarray(weights())[state.cutoff:]))
+    assert abs(state.leakage - direct) <= 1e-14
+    assert 1e-11 < state.leakage <= 1e-10
+
+
+def test_constructors_build_only_their_cutoff(monkeypatch):
+    # every level kernel takes its level count last
+    sizes = []
+    for name in ("_coherent_amplitudes", "_squeezed_vacuum_amplitudes", "thermal_weights",
+                 "_log_factorials"):
+        real = getattr(states, name)
+        monkeypatch.setattr(states, name, lambda *a, _real=real: sizes.append(a[-1]) or _real(*a))
+    for build, x, d in ((coherent, 1.0, 30), (coherent, 38.0, 1700), (squeezed_vacuum, 0.5, 40),
+                        (lambda a, d: cat(a, 0.785, d), 1.0, 40), (thermal, 0.5, 40),
+                        (poisson, 1.0, 40)):
+        sizes.clear()
+        build(x, d)
+        assert sizes and max(sizes) <= d
+
+
+@pytest.mark.parametrize("build, hint", [
+    (lambda: coherent(65.0, 4096), 4646),
+    (lambda: squeezed_vacuum(3.5, 4096), None),
+    (lambda: coherent(70.0, 40), 5353),
+    (lambda: cat(70.0, 0.7, 40), 5353),
+], ids=["coherent-past-4096", "squeezed-past-4096", "coherent-underflow", "cat-underflow"])
+def test_mass_past_a_long_cutoff_is_a_truncation_error(build, hint):
+    # the minimal cutoffs lie past 4096 levels, beyond any fixed scan window
+    with pytest.raises(TruncationError, match=f"minimal adequate cutoff is {hint or ''}"):
+        build()
 
 
 def test_fock_superposition():
@@ -187,7 +260,28 @@ def test_dense_constructors_check_the_cap_before_they_allocate(build):
     lambda: diagonal_mixture([0.5, math.nan, 0.5], 5),
     lambda: thermal(math.nan, 5),
     lambda: poisson(math.nan, 5),
-], ids=["mixture-first", "mixture-middle", "thermal", "poisson"])
+    lambda: coherent(math.nan, 10),
+    lambda: coherent(math.inf, 10),
+    lambda: squeezed_vacuum(math.nan, 10),
+    lambda: squeezed_vacuum(0.3, 10, phi=math.nan),
+    lambda: cat(math.nan, 0.3, 10),
+    lambda: cat(1.0, math.nan, 10),
+    lambda: cat(0.0, -math.pi / 4, 10),
+    lambda: pnes(PNESSpec("tmc", math.nan, 10)),
+    lambda: pnes(PNESSpec("tmc", math.inf, 10)),
+    lambda: thermal(math.inf, 10),
+    lambda: poisson(math.inf, 10),
+    lambda: vacuum(0),
+], ids=["mixture-first", "mixture-middle", "thermal", "poisson", "coherent-nan", "coherent-inf",
+        "squeezed-nan", "squeezed-phase-nan", "cat-nan", "cat-phase-nan", "cat-zero-norm",
+        "tmc-nan", "tmc-inf", "thermal-inf", "poisson-inf", "vacuum-no-levels"])
 def test_nan_arguments_are_argument_errors(build):
-    with pytest.raises(ArgumentError):
-        build()
+    # raised before any level is built: the peak stays below one 4096-level window
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArgumentError):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096 * 16
