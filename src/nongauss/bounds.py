@@ -149,8 +149,9 @@ def epsilon_e(rho: State, eta: float) -> float:
     rho = as_density(rho)
     if rho.modes != 1:
         raise ArgumentError("epsilon_E is single-mode")
+    povm = PhotodetectionPOVM(eta, rho.cutoff)   # rejects eta outside [0, 1] and NaN
     g = moments(rho)
     sigma_eta = eta * g.sigma + (1.0 - eta) * 0.5 * np.eye(2)
     s_tau_eta = gaussian_entropy(GaussianData(g.X, sigma_eta))
-    q = detection_statistics(rho, PhotodetectionPOVM(eta, rho.cutoff))
+    q = detection_statistics(rho, povm)
     return s_tau_eta - shannon_entropy(q)

@@ -55,8 +55,8 @@ def browne_state(variant: str, lam: float, cutoff: int = 8) -> DensityMatrix:
     Variant 'a' is the pure superposition (|00> + lam|11>)/sqrt(1+lam^2);
     variant 'b' keeps the same populations but halves the coherences (rank 2).
     """
-    if not lam >= 0:   # NaN fails this check
-        raise ArgumentError("lambda must be >= 0")
+    if not 0 <= lam < math.inf:   # NaN fails this check
+        raise ArgumentError(f"lambda must be finite and >= 0, got {lam}")
     if cutoff < 2:
         raise ArgumentError("cutoff must be at least 2")
     if variant not in ("a", "b"):

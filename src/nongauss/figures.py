@@ -121,7 +121,7 @@ def fig4_diagonal_mixtures(seed=0, threads=1):
                 n = np.arange(200)
                 w = np.exp(n * math.log(lam) - lam - _log_factorials(n.size))
             elif family.endswith("_pt"):
-                w = pnes_coefficients(PNESSpec(family[:-3], float(lam), 12), 400) ** 2
+                w = pnes_coefficients(PNESSpec(family[:-3], float(lam), 12)) ** 2
             else:
                 w = _gamma_weights(int(family[-1]), float(lam))
             rows.append([family, float(lam), delta_a_diagonal(w), delta_b_diagonal(w)])

@@ -40,12 +40,12 @@ class Ensemble:
         if not self.entries:
             raise ArgumentError("ensemble must be nonempty")
         total = sum(p for p, _ in self.entries)
-        if abs(total - 1.0) > tolerances().norm:
+        if not abs(total - 1.0) <= tolerances().norm:   # NaN fails these checks
             raise ArgumentError(f"ensemble probabilities sum to {total}, not 1")
         dims = {(s.modes, s.cutoff) for _, s in self.entries}
         if len(dims) != 1:
             raise ArgumentError("all ensemble members must share dimensions")
-        if any(p <= 0 for p, _ in self.entries):
+        if not all(p > 0 for p, _ in self.entries):
             raise ArgumentError("ensemble probabilities must be positive")
 
     def average_state(self) -> DensityMatrix:
@@ -169,10 +169,10 @@ class StateFamily:
             raise ArgumentError("derivative shape must match the state")
         tol = tolerances()
         herm = float(np.max(np.abs(d - d.conj().T)))
-        if herm > tol.herm * max(1.0, float(np.max(np.abs(d)))):
+        if not herm <= tol.herm * max(1.0, float(np.max(np.abs(d)))):  # NaN fails
             raise ArgumentError(f"derivative must be Hermitian (residue {herm:.3e})")
         tr = abs(complex(np.trace(d)))
-        if tr > 1e-10 * max(1.0, float(np.max(np.abs(d)))):
+        if not tr <= 1e-10 * max(1.0, float(np.max(np.abs(d)))):
             raise ArgumentError(f"derivative must be traceless (trace {tr:.3e})")
 
 
@@ -200,8 +200,10 @@ def qfi_ng_bound_check(rho0: DensityMatrix, family, epsilons,
     tol(eps) = max(1e-4, 10 eps) covers the second-order truncation of the
     relative-entropy expansion.
     """
-    g0 = moments(rho0)
     epsilons = sorted(float(e) for e in epsilons)
+    if not epsilons or not all(0.0 < e < np.inf for e in epsilons):  # NaN fails this
+        raise ArgumentError(f"epsilons must be finite and positive, got {epsilons}")
+    g0 = moments(rho0)
     if derivative is None:
         e0 = epsilons[0]
         derivative = (family(e0).matrix - rho0.matrix) / e0

@@ -310,6 +310,9 @@ def conjecture_a5_sweep(samples: int, cutoffs, seed=0) -> dict:
     """
     if samples < 1:
         raise ArgumentError("samples must be >= 1")
+    cutoffs = list(cutoffs)
+    if not all(d >= 2 for d in cutoffs):   # |1> is forced into every sample
+        raise ArgumentError(f"every cutoff must be >= 2, got {cutoffs}")
     rng = np.random.default_rng(seed)
     out = {}
     edges = np.linspace(0.0, 0.55, 41)

@@ -20,7 +20,7 @@ __all__ = ["vacuum", "fock", "coherent", "thermal", "squeezed_vacuum",
            "PNESSpec", "pnes", "pnes_coefficients", "pnes_structured_cm",
            "pnes_entanglement", "delta_a_diagonal", "delta_b_diagonal"]
 
-_SCAN_MAX = 1 << 16  # longest profile scanned to name a minimal adequate cutoff
+_SCAN_MAX = 1 << 16  # longest profile scanned to name a minimal adequate cutoff or built for a PNES
 
 
 def _check_finite(cutoff: int, **params) -> None:
@@ -33,10 +33,12 @@ def _check_finite(cutoff: int, **params) -> None:
 
 def _crop(levels, total: float, cutoff: int, what: str, weigh=lambda v: np.abs(v) ** 2):
     """levels(cutoff), the first levels of a profile (amplitudes, or weights with
-    `weigh` the identity) whose weights sum to `total`, and the mass they drop,
-    max(1 - kept / total, 0).  A drop above tolerances().tail is a TruncationError
-    naming the minimal adequate cutoff, read off levels(n), n doubling to _SCAN_MAX."""
+    `weigh` the identity; zero past a finite profile's end) whose weights sum to
+    `total`, and the mass they drop, max(1 - kept / total, 0).  A drop above tail_tol
+    is a TruncationError naming the minimal cutoff, read off levels(n) to _SCAN_MAX."""
     kept, tail = levels(cutoff), tolerances().tail
+    if kept.size < cutoff:
+        kept = np.concatenate([kept, np.zeros(cutoff - kept.size)])
     leak = max(1.0 - float(np.sum(weigh(kept))) / total, 0.0)
     if leak > tail:
         n, hint = cutoff, f"the profile extends beyond {_SCAN_MAX} levels"
@@ -186,8 +188,7 @@ def diagonal_mixture(weights, cutoff: int) -> DensityMatrix:
     total = q.sum()
     if not abs(total - 1.0) <= 1e-6:
         raise ArgumentError(f"weights must sum to 1, got {total}")
-    return _state(lambda n: np.concatenate([q[:n], np.zeros(max(n - q.size, 0))]),
-                  total, cutoff, "diagonal_mixture", pure=False)
+    return _state(lambda n: q[:n], total, cutoff, "diagonal_mixture", pure=False)
 
 
 def poisson(lam: float, cutoff: int) -> DensityMatrix:
@@ -258,39 +259,38 @@ class PNESSpec:
             raise ArgumentError(f"{fam} requires 0 <= x < 1, got {self.parameter}")
 
 
-def pnes_coefficients(spec: PNESSpec, nmax: int | None = None) -> np.ndarray:
-    """Normalized psi_n profile over nmax levels, by default a 4096-level window
-    (tmc's norm I_0(2x) has no stdlib closed form)."""
-    nmax = nmax or max(4096, spec.cutoff)
-    n = np.arange(nmax, dtype=float)
-    x = spec.parameter
-    if spec.family == "twin_beam":
-        psi = x ** n
-    elif spec.family == "tmc":
-        if x == 0:
-            psi = np.zeros(nmax)
-            psi[0] = 1.0
-        else:
-            logc = np.concatenate(([0.0], n[1:] * math.log(abs(x)))) - _log_factorials(nmax)
-            psi = np.exp(logc) * np.sign(x) ** n
-    elif spec.family == "pssv":
-        psi = (n + 1) * x ** (n + 1)
-    else:  # pasv: the n = 0 coefficient vanishes, normalization starts at n = 1
-        psi = np.zeros(nmax)
-        psi[1:] = n[1:] * x ** (n[1:] - 1)
-    nrm = np.linalg.norm(psi)
-    if nrm == 0:
+def pnes_coefficients(spec: PNESSpec) -> np.ndarray:
+    """Normalized psi_n profile over 64 levels, doubled while its second half still
+    adds to the squared norm; one not converged by _SCAN_MAX is a TruncationError."""
+    psi, x = np.zeros(32), spec.parameter
+    while psi.size < _SCAN_MAX:
+        n = np.arange(2 * psi.size, dtype=float)
+        if spec.family == "tmc" and x != 0:   # in log space, shifted to its peak
+            logc = n * math.log(abs(x)) - _log_factorials(n.size)
+            psi = np.exp(logc - logc.max()) * np.sign(x) ** n
+        elif spec.family == "pssv":
+            psi = (n + 1) * x ** (n + 1)
+        elif spec.family == "pasv":   # its n = 0 coefficient vanishes
+            psi = n * x ** np.maximum(n - 1, 0)
+        else:   # twin beam, and tmc at x = 0
+            psi = x ** n
+        head = np.sum(psi[:n.size // 2] ** 2)
+        if head + np.sum(psi[n.size // 2:] ** 2) == head:
+            break
+    else:
+        raise TruncationError(f"pnes {spec.family}({x}) has not converged in {_SCAN_MAX} levels")
+    if head == 0:
         raise ArgumentError(f"PNES {spec.family}({x}) has vanishing norm")
-    return psi / nrm
+    return psi / np.linalg.norm(psi)
 
 
 def pnes(spec: PNESSpec) -> FockStateVector:
-    """The PNES of `spec`; its leakage is the share of the coefficient window past the cutoff."""
-    d, psi = spec.cutoff, pnes_coefficients(spec)
-    _, leak = _crop(lambda n: psi[:n], 1.0, d, f"pnes {spec.family}({spec.parameter})")
-    amps = np.zeros(d * d, dtype=complex)
-    amps[np.arange(d) * (d + 1)] = psi[:d]  # |n>|n> -> flat n + d*n
-    return FockStateVector(2, d, amps / np.linalg.norm(amps), leak)
+    """The PNES of `spec`, psi_n at |n>|n> (flat index n * cutoff + n); its leakage
+    is the mass of the converged profile past the cutoff."""
+    coeff = pnes_coefficients(spec)
+    psi, leak = _crop(lambda n: coeff[:n], 1.0, spec.cutoff,
+                      f"pnes {spec.family}({spec.parameter})")
+    return FockStateVector(2, spec.cutoff, np.diag(psi / np.linalg.norm(psi)), leak)
 
 
 def pnes_structured_cm(spec: PNESSpec) -> tuple[float, float, GaussianData]:

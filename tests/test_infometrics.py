@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,9 @@ from nongauss import (ArgumentError, DensityMatrix, Ensemble, FockStateVector,
                       gaussian_conditional_entropy, gaussian_mutual_information,
                       holevo_chi, moments, mutual_information,
                       mutual_information_gap, qfi, qfi_ng_bound_check, tensor)
+from nongauss.bounds import epsilon_e
+from nongauss.distillation import browne_state
+from nongauss.measures import conjecture_a5_sweep
 from nongauss.states import (PNESSpec, coherent, diagonal_mixture, fock, pnes,
                              thermal)
 
@@ -145,3 +150,32 @@ def test_qfi_bound_rejects_moment_changing_families():
 
     with pytest.raises(ArgumentError):
         qfi_ng_bound_check(nu, fam, [1e-2])
+
+
+def _never(t):
+    raise AssertionError("the family was evaluated before its epsilons were checked")
+
+
+_NU = thermal(0.5, 30)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Ensemble(((math.nan, fock(0, 6)), (math.nan, fock(1, 6)))),
+    lambda: Ensemble(((math.nan, fock(0, 6)),)),
+    lambda: StateFamily(_NU, np.full((30, 30), math.nan)),
+    lambda: qfi_ng_bound_check(_NU, _never, [0.0, 1e-2]),
+    lambda: qfi_ng_bound_check(_NU, _never, [math.nan]),
+    lambda: qfi_ng_bound_check(_NU, _never, [1e-2, math.inf]),
+    lambda: qfi_ng_bound_check(_NU, _never, []),
+    lambda: conjecture_a5_sweep(2, [1]),
+    lambda: conjecture_a5_sweep(2, [0]),
+    lambda: conjecture_a5_sweep(2, [4, 1]),
+    lambda: browne_state("a", math.inf),
+    lambda: epsilon_e(_NU, math.nan),
+], ids=["ensemble-nan", "ensemble-single-nan", "qfi-family-nan", "qfi-eps-zero", "qfi-eps-nan",
+        "qfi-eps-inf", "qfi-eps-none", "a5-cutoff-1", "a5-cutoff-0", "a5-late-cutoff-1",
+        "browne-inf", "epsilon-e-nan"])
+def test_untyped_inputs_are_argument_errors(build):
+    # each check runs before any work, and NaN fails it
+    with pytest.raises(ArgumentError):
+        build()

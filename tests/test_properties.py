@@ -4,8 +4,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.special import xlogy
 
-from nongauss import (DensityMatrix, beam_split, delta_a, delta_b, displace, loss,
-                      purity, random_density_matrix, squeeze)
+from nongauss import (DensityMatrix, beam_split, conditional_entropy_gap, delta_a, delta_b,
+                      displace, gaussian_conditional_entropy, gaussian_mutual_information,
+                      loss, moments, mutual_information_gap, partial_trace, purity,
+                      random_density_matrix, squeeze, von_neumann_entropy)
 from nongauss.bounds import (PhotodetectionPOVM, detection_statistics, epsilon_a,
                              epsilon_b, epsilon_c, epsilon_d, epsilon_e)
 from nongauss.fock import tensor
@@ -132,3 +134,25 @@ def test_epsilon_a_b_and_c_bound_delta_b_on_fock_diagonal_states(rho, eta):
     assert epsilon_a(q) <= db + 1e-9
     assert epsilon_b(rho) <= db + 1e-9
     assert epsilon_c(rho, eta) <= db + 1e-9
+
+
+# -- the two-mode entropic gaps ------------------------------------------------
+
+two_mode_states = st.builds(lambda rank, seed: random_density_matrix(2, D, rank, seed=seed),
+                            st.integers(1, D * D), st.integers(0, 2 ** 32 - 1))
+
+
+@property_settings
+@given(two_mode_states)
+def test_entropic_gaps_are_the_information_deficits(rho):
+    # Delta_2 = I - I_G and Delta_1 = S_G(A|B) - S(A|B), both >= 0, with every
+    # entropy read directly off the state and its covariance matrix
+    g = moments(rho)
+    s_ab = von_neumann_entropy(rho)
+    s_a = von_neumann_entropy(partial_trace(rho, {0}))
+    s_b = von_neumann_entropy(partial_trace(rho, {1}))
+    delta_2 = mutual_information_gap(rho)
+    delta_1 = conditional_entropy_gap(rho)
+    assert abs(delta_2 - ((s_a + s_b - s_ab) - gaussian_mutual_information(g))) <= 1e-6
+    assert abs(delta_1 - (gaussian_conditional_entropy(g) - (s_ab - s_b))) <= 1e-6
+    assert delta_2 >= -1e-6 and delta_1 >= -1e-6

@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, i0
 
 from nongauss import (ArgumentError, ResourceError, Tolerances, TruncationError,
                       delta_b, moments, partial_trace, random_density_matrix,
@@ -85,6 +86,18 @@ def _cat_weights(alpha, phi, levels=4096):
             / (1 + math.sin(2 * phi) * math.exp(-2 * alpha ** 2)))
 
 
+def _pnes_weights(family, x, levels=4096):
+    # psi_n^2 over its closed-form norm^2 (y = x^2); tmc's is I_0(2 x)
+    n, y = np.arange(levels, dtype=float), x * x
+    if family == "tmc":
+        return np.exp(2 * (n * math.log(x) - gammaln(n + 1))) / i0(2 * x)
+    if family == "twin_beam":
+        return (1 - y) * y ** n
+    if family == "pssv":
+        return (n + 1) ** 2 * y ** (n + 1) * (1 - y) ** 3 / (y * (1 + y))
+    return n ** 2 * y ** np.maximum(n - 1, 0) * (1 - y) ** 3 / (1 + y)
+
+
 @pytest.mark.parametrize("build, weights", [
     (lambda: coherent(3.0, 35), lambda: _poisson_weights(9.0)),
     (lambda: coherent(1.5j, 18), lambda: _poisson_weights(2.25)),
@@ -97,10 +110,12 @@ def _cat_weights(alpha, phi, levels=4096):
     (lambda: cat(2.0, 0.3, 23), lambda: _cat_weights(2.0, 0.3)),
     (lambda: cat(0.5, -math.pi / 4, 8), lambda: _cat_weights(0.5, -math.pi / 4)),
     (lambda: cat(5.0, 0.7, 63), lambda: _cat_weights(5.0, 0.7)),
-    (lambda: pnes(PNESSpec("twin_beam", 0.3, 10)),
-     lambda: pnes_coefficients(PNESSpec("twin_beam", 0.3, 10)) ** 2),
+    (lambda: pnes(PNESSpec("twin_beam", 0.3, 10)), lambda: _pnes_weights("twin_beam", 0.3)),
+    (lambda: pnes(PNESSpec("tmc", 3.0, 14)), lambda: _pnes_weights("tmc", 3.0)),
+    (lambda: pnes(PNESSpec("pssv", 0.5, 21)), lambda: _pnes_weights("pssv", 0.5)),
+    (lambda: pnes(PNESSpec("pasv", 0.5, 22)), lambda: _pnes_weights("pasv", 0.5)),
 ], ids=["coherent", "coherent-imaginary", "squeezed", "squeezed-phase", "thermal", "poisson",
-        "mixture", "cat", "odd-cat", "cat-large", "pnes"])
+        "mixture", "cat", "odd-cat", "cat-large", "pnes", "pnes-tmc", "pnes-pssv", "pnes-pasv"])
 def test_leakage_is_the_mass_past_the_cutoff(build, weights):
     # each cutoff is the minimal adequate one, so the leakage is 1e-11 to 1e-10
     state = build()
@@ -228,6 +243,77 @@ def test_pnes_entanglement_is_schmidt_entropy():
         ent = pnes_entanglement(spec)
         red = partial_trace(pnes(spec).density(), {1})
         assert abs(ent - von_neumann_entropy(red)) < 1e-8
+
+
+def _pnes_closed_forms(family, x):
+    # (N, C, psi_first^2) in exact arithmetic from the float x, y = x^2; psi_first is
+    # psi_0 (twin beam, pssv) or psi_1 (pasv) over the closed-form norm
+    x = Fraction(x)
+    y = x * x
+    if family == "twin_beam":
+        return y / (1 - y), x / (1 - y), 1 - y
+    first = (1 - y) ** 3 / (1 + y)
+    if family == "pssv":
+        return 2 * y * (2 + y) / (1 - y * y), 2 * x * (1 + 2 * y) / (1 - y * y), first
+    return (1 + 4 * y + y * y) / (1 - y * y), 2 * x * (2 + y) / (1 - y * y), first
+
+
+@pytest.mark.parametrize("x", [0.05, 0.3, 0.7, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("family", ["twin_beam", "pssv", "pasv"])
+def test_pnes_moments_match_the_closed_forms(family, x):
+    # the profile's sums, read to convergence, are the closed forms
+    spec = PNESSpec(family, x, 12)
+    n_mean, c, _ = pnes_structured_cm(spec)
+    psi = pnes_coefficients(spec)
+    got = (n_mean, c, psi[1 if family == "pasv" else 0] ** 2)
+    for value, exact in zip(got, _pnes_closed_forms(family, x)):
+        assert abs(value / float(exact) - 1) <= 1e-13
+
+
+@pytest.mark.parametrize("lam", [0.25, 1.0, 5.0, 20.0, 100.0, 1000.0])
+def test_tmc_moments_match_a_series(lam):
+    # N = sum n w_n / sum w_n with w_n = lam^2n / n!^2, taken in log space; C = lam
+    logw = [2 * (n * math.log(lam) - math.lgamma(n + 1)) for n in range(int(3 * lam) + 100)]
+    w = [math.exp(v - max(logw)) for v in logw]
+    n_mean, c, _ = pnes_structured_cm(PNESSpec("tmc", lam, 12))
+    assert abs(n_mean / (math.fsum(n * v for n, v in enumerate(w)) / math.fsum(w)) - 1) <= 1e-13
+    assert abs(c / lam - 1) <= 1e-13
+
+
+@pytest.mark.parametrize("x", [0.3, 0.9, 0.99, 0.999])
+def test_twin_beam_entanglement_closed_form(x):
+    y = x * x
+    exact = -math.log1p(-y) - y * math.log(y) / (1 - y)
+    assert abs(pnes_entanglement(PNESSpec("twin_beam", x, 12)) - exact) <= 1e-13
+
+
+def test_pnes_names_the_whole_profile_minimal_cutoff():
+    # y^n <= 1e-10 first at n = 11508 (y = 0.999^2), far past any 4096-level window
+    with pytest.raises(TruncationError, match="minimal adequate cutoff is 11508"):
+        pnes(PNESSpec("twin_beam", 0.999, 40))
+    # e^{-1000} underflows: the tmc profile is taken in log space at its peak
+    assert pnes(PNESSpec("tmc", 1000.0, 1200)).leakage <= 1e-10
+
+
+@pytest.mark.parametrize("read", [pnes, pnes_coefficients, pnes_structured_cm, pnes_entanglement])
+def test_pnes_profile_not_converged_by_the_scan_cap_is_a_truncation_error(read):
+    # 0.9995^2n still adds to the squared norm between 2^15 and 2^16 levels
+    with pytest.raises(TruncationError, match="not converged"):
+        read(PNESSpec("twin_beam", 0.9995, 40))
+
+
+@pytest.mark.parametrize("family, x", [("twin_beam", 0.5), ("tmc", 0.5), ("pssv", 0.5),
+                                       ("pasv", 0.5), ("pssv", 0.05)])
+def test_small_pnes_builds_no_4096_level_profile(family, x):
+    spec = PNESSpec(family, x, 24)
+    for read in (pnes, pnes_coefficients, pnes_structured_cm, pnes_entanglement):
+        tracemalloc.start()
+        try:
+            read(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096 * 8, read.__name__
 
 
 def test_pasv_starts_at_one():
