@@ -1,14 +1,16 @@
 """Experimentally friendly lower bounds on the QRE non-Gaussianity, built on
-photon counting with efficiency eta.
+photon counting with efficiency eta (eta = 1 is ideal detection).
 
-Classes of validity:
-  epsilon_A  Fock-diagonal states, inefficient detection
-  epsilon_B  thermal-reference states (Tr[rho a] = Tr[rho a^2] = 0), ideal detection
-  epsilon_C  thermal-reference states, inefficient detection
-  epsilon_D  generic single-mode states with known covariance matrix
-  epsilon_E  generic single-mode states, inefficient detection
+Every bound is an entropy gap in nats on the photocount distribution q_eta, by
+one of two formulas: S(nu_M) - H(q_eta), with nu_M the thermal state of q_eta's
+mean count M, or S(tau_eta) - H(q_eta), with tau_eta the Gaussian state of the
+lossy covariance matrix eta sigma + (1 - eta)/2 I.
 
-Every bound is an entropy difference in nats.
+  epsilon_A  S(nu_M), any eta: Fock-diagonal states (it reads only the counts)
+  epsilon_C  S(nu_M), any eta: thermal-reference states, Tr[rho a] = Tr[rho a^2] = 0
+  epsilon_B  epsilon_C at eta = 1
+  epsilon_E  S(tau_eta), any eta: any single-mode state
+  epsilon_D  epsilon_E at eta = 1
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .channels import loss_transition_matrix
 from .config import tolerances
 from .errors import ArgumentError, NumericalValidityError
-from .fock import DensityMatrix, State, as_density, shannon_entropy
+from .fock import State, _integer, as_density, shannon_entropy
 from .gaussian import GaussianData, gaussian_entropy, moments
 from .states import delta_b_diagonal
 
@@ -44,7 +46,7 @@ class PhotodetectionPOVM:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise ArgumentError("detector efficiency eta must lie in [0, 1]")
-        if self.cutoff < 1:
+        if _integer(self.cutoff, "cutoff") < 1:
             raise ArgumentError("cutoff must be positive")
 
     def weight_table(self) -> np.ndarray:
@@ -100,11 +102,12 @@ def epsilon_a(q) -> float:
     return delta_b_diagonal(q)
 
 
-def _check_thermal_reference(rho: DensityMatrix) -> None:
+def _check_thermal_reference(rho: State) -> None:
     # Tr[rho a] = sum_m sqrt(m) rho[m, m-1], Tr[rho a^2] = sum_m sqrt(m(m-1)) rho[m, m-2]
+    mat = as_density(rho).matrix
     m = np.arange(rho.cutoff)
-    t1 = abs(complex(np.dot(np.sqrt(m[1:]), np.diagonal(rho.matrix, -1))))
-    t2 = abs(complex(np.dot(np.sqrt(m[2:] * m[1:-1]), np.diagonal(rho.matrix, -2))))
+    t1 = abs(complex(np.dot(np.sqrt(m[1:]), np.diagonal(mat, -1))))
+    t2 = abs(complex(np.dot(np.sqrt(m[2:] * m[1:-1]), np.diagonal(mat, -2))))
     if t1 > 1e-8 or t2 > 1e-8:
         raise ArgumentError(
             f"state is outside the thermal-reference class: |<a>| = {t1:.2e}, "
@@ -113,31 +116,19 @@ def _check_thermal_reference(rho: DensityMatrix) -> None:
 
 def epsilon_b(rho: State) -> float:
     """S(nu_N) - H(p_nn) for states whose reference Gaussian is thermal."""
-    rho = as_density(rho)
-    if rho.modes != 1:
-        raise ArgumentError("epsilon_B is single-mode")
-    _check_thermal_reference(rho)
-    return delta_b_diagonal(np.clip(np.real(np.diag(rho.matrix)), 0.0, None))
+    return epsilon_c(rho, 1.0)
 
 
 def epsilon_c(rho: State, eta: float) -> float:
     """Like epsilon_B but through an inefficient detector: S(nu_M) - H(q)."""
-    rho = as_density(rho)
-    if rho.modes != 1:
-        raise ArgumentError("epsilon_C is single-mode")
-    _check_thermal_reference(rho)
     q = detection_statistics(rho, PhotodetectionPOVM(eta, rho.cutoff))
+    _check_thermal_reference(rho)
     return epsilon_a(q)
 
 
 def epsilon_d(rho: State) -> float:
     """S(tau) - H(p_nn): needs the covariance matrix but only ideal counting."""
-    rho = as_density(rho)
-    if rho.modes != 1:
-        raise ArgumentError("epsilon_D is single-mode")
-    s_tau = gaussian_entropy(moments(rho))
-    p_diag = np.clip(np.real(np.diag(rho.matrix)), 0.0, None)
-    return s_tau - shannon_entropy(p_diag)
+    return epsilon_e(rho, 1.0)
 
 
 def epsilon_e(rho: State, eta: float) -> float:
@@ -146,12 +137,7 @@ def epsilon_e(rho: State, eta: float) -> float:
     The loss-transformed reference entropy comes from the analytic CM map
     sigma -> eta sigma + (1 - eta)/2 I, exact and synthesis-free.
     """
-    rho = as_density(rho)
-    if rho.modes != 1:
-        raise ArgumentError("epsilon_E is single-mode")
-    povm = PhotodetectionPOVM(eta, rho.cutoff)   # rejects eta outside [0, 1] and NaN
+    q = detection_statistics(rho, PhotodetectionPOVM(eta, rho.cutoff))
     g = moments(rho)
     sigma_eta = eta * g.sigma + (1.0 - eta) * 0.5 * np.eye(2)
-    s_tau_eta = gaussian_entropy(GaussianData(g.X, sigma_eta))
-    q = detection_statistics(rho, povm)
-    return s_tau_eta - shannon_entropy(q)
+    return gaussian_entropy(GaussianData(g.X, sigma_eta)) - shannon_entropy(q)

@@ -119,14 +119,10 @@ def loss_transition_matrix(eta: float, dim: int) -> np.ndarray:
     if eta == 0.0:
         t[0, :] = 1.0
         return t
-    ps = np.arange(dim, dtype=float)
-    lf = _log_factorials(dim)
-    for l in range(dim):
-        pk = ps[l:]
-        logw = (lf[l:] - lf[l] - lf[:dim - l]
-                + (pk - l) * math.log(1.0 - eta) + l * math.log(eta))
-        t[l, l:] = np.exp(logw)
-    return t
+    p, l, lf = np.arange(dim), np.arange(dim)[:, None], _log_factorials(dim)
+    # below the diagonal p - l < 0 indexes lf from its end; those entries stay 0
+    logw = lf[p] - lf[l] - lf[p - l] + (p - l) * math.log(1.0 - eta) + l * math.log(eta)
+    return np.exp(logw, out=t, where=p >= l)
 
 
 def loss(state: State, eta: float) -> DensityMatrix:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ArgumentError, NumericalValidityError, TruncationError
 from .fock import (DensityMatrix, FockStateVector, State, _check_dense_dim,
-                   _log_factorials, partial_transpose)
+                   _integer, _log_factorials, partial_transpose)
 from .gaussian import _ladder
 from .channels import _bs_blocks
 from .measures import delta_b
@@ -57,7 +57,7 @@ def browne_state(variant: str, lam: float, cutoff: int = 8) -> DensityMatrix:
     """
     if not 0 <= lam < math.inf:   # NaN fails this check
         raise ArgumentError(f"lambda must be finite and >= 0, got {lam}")
-    if cutoff < 2:
+    if _integer(cutoff, "cutoff") < 2:
         raise ArgumentError("cutoff must be at least 2")
     if variant not in ("a", "b"):
         raise ArgumentError("variant must be 'a' or 'b'")
@@ -165,7 +165,7 @@ def b_protocol_iterates(state: State, steps: int, leak_budget: float | None = 1e
     iterate genuinely outgrows any fixed cutoff, and each iterate's leakage
     then discloses the loss instead.  The checks run when iteration starts.
     """
-    if steps < 1:
+    if _integer(steps, "steps") < 1:
         raise ArgumentError("steps must be >= 1")
     branches = _branches(state)
     if len(branches) == 1:

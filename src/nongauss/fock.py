@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -74,6 +75,15 @@ def mode_operator(op: np.ndarray, mode: int, modes: int, cutoff: int) -> np.ndar
     return out
 
 
+def _integer(value, name: str) -> int:
+    """`value`, a size or level, as an int: an ArgumentError unless it is an int
+    or an np.integer (operator.index refuses floats, strings and arrays)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ArgumentError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_dense_dim(dim: int) -> None:
     cap = tolerances().max_dense_dim
     if dim > cap:
@@ -100,7 +110,7 @@ class FockStateVector:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
         object.__setattr__(self, "amplitudes", amps)
-        if self.modes < 1 or self.cutoff < 1:
+        if _integer(self.modes, "modes") < 1 or _integer(self.cutoff, "cutoff") < 1:
             raise ArgumentError("modes and cutoff must be positive")
         if amps.size != self.cutoff ** self.modes:
             raise ArgumentError(
@@ -157,7 +167,7 @@ class DensityMatrix:
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", mat)
-        if self.modes < 1 or self.cutoff < 1:
+        if _integer(self.modes, "modes") < 1 or _integer(self.cutoff, "cutoff") < 1:
             raise ArgumentError("modes and cutoff must be positive")
         dim = self.cutoff ** self.modes
         if mat.shape != (dim, dim):
@@ -363,8 +373,8 @@ def von_neumann_entropy(rho: State) -> float:
 
 def random_density_matrix(modes: int, cutoff: int, rank: int, seed=None) -> DensityMatrix:
     """Random state from the Ginibre-induced measure: rho = GG^dag / Tr[GG^dag]."""
-    dim = cutoff ** modes
-    if not 1 <= rank <= dim:
+    dim = _integer(cutoff, "cutoff") ** _integer(modes, "modes")
+    if not 1 <= _integer(rank, "rank") <= dim:
         raise ArgumentError(f"rank must be in [1, {dim}], got {rank}")
     _check_dense_dim(dim)
     rng = np.random.default_rng(seed)

@@ -167,9 +167,11 @@ class StateFamily:
         object.__setattr__(self, "drho", d)
         if d.shape != self.rho.matrix.shape:
             raise ArgumentError("derivative shape must match the state")
+        if not np.all(np.isfinite(d)):
+            raise ArgumentError("derivative has a non-finite entry")
         tol = tolerances()
         herm = float(np.max(np.abs(d - d.conj().T)))
-        if not herm <= tol.herm * max(1.0, float(np.max(np.abs(d)))):  # NaN fails
+        if not herm <= tol.herm * max(1.0, float(np.max(np.abs(d)))):
             raise ArgumentError(f"derivative must be Hermitian (residue {herm:.3e})")
         tr = abs(complex(np.trace(d)))
         if not tr <= 1e-10 * max(1.0, float(np.max(np.abs(d)))):

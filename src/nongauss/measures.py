@@ -13,7 +13,7 @@ from ._blas import serial_blas
 from .channels import ChannelSpec, _kerr_moments, apply_channel
 from .errors import ArgumentError, NumericalValidityError
 from .fock import (DensityMatrix, FockStateVector, MeasureReport, State,
-                   as_density, _entropy_of_spectrum, _log_factorials, purity,
+                   as_density, _entropy_of_spectrum, _integer, _log_factorials, purity,
                    random_density_matrix)
 from .gaussian import (GaussianData, displacement_matrix, fit_single_mode_gaussian,
                        gaussian_entropy, gaussian_fock_block, h, moments, squeeze_matrix,
@@ -308,10 +308,10 @@ def conjecture_a5_sweep(samples: int, cutoffs, seed=0) -> dict:
     Ranks are drawn uniformly so the sample spans the purity range; |1> is
     forced into every sample (a known high-delta_A point, 5/12).
     """
-    if samples < 1:
+    if _integer(samples, "samples") < 1:
         raise ArgumentError("samples must be >= 1")
     cutoffs = list(cutoffs)
-    if not all(d >= 2 for d in cutoffs):   # |1> is forced into every sample
+    if not all(_integer(d, "cutoff") >= 2 for d in cutoffs):   # |1> is forced into every sample
         raise ArgumentError(f"every cutoff must be >= 2, got {cutoffs}")
     rng = np.random.default_rng(seed)
     out = {}

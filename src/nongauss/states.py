@@ -11,8 +11,8 @@ import numpy as np
 
 from .config import tolerances
 from .errors import ArgumentError, TruncationError
-from .fock import (DensityMatrix, FockStateVector, _check_dense_dim, _log_factorials,
-                   shannon_entropy)
+from .fock import (DensityMatrix, FockStateVector, _check_dense_dim, _integer,
+                   _log_factorials, shannon_entropy)
 from .gaussian import GaussianData, h, thermal_weights
 
 __all__ = ["vacuum", "fock", "coherent", "thermal", "squeezed_vacuum",
@@ -24,10 +24,10 @@ _SCAN_MAX = 1 << 16  # longest profile scanned to name a minimal adequate cutoff
 
 
 def _check_finite(cutoff: int, **params) -> None:
-    """ArgumentError for a cutoff below 1 or a NaN or infinite parameter."""
+    """ArgumentError for a cutoff that is not an integer >= 1 or a NaN or infinite parameter."""
     bad = [f"{name} = {value} is not finite" for name, value in params.items()
            if not cmath.isfinite(value)]
-    if cutoff < 1 or bad:
+    if _integer(cutoff, "cutoff") < 1 or bad:
         raise ArgumentError(bad[0] if bad else f"cutoff must be >= 1, got {cutoff}")
 
 
@@ -66,13 +66,13 @@ def _state(levels, total: float, cutoff: int, what: str, pure: bool = True):
 
 def vacuum(cutoff: int, modes: int = 1) -> FockStateVector:
     _check_finite(cutoff)
-    amps = np.zeros(cutoff ** modes, dtype=complex)
+    amps = np.zeros(cutoff ** _integer(modes, "modes"), dtype=complex)
     amps[0] = 1.0
     return FockStateVector(modes, cutoff, amps)
 
 
 def fock(n: int, cutoff: int) -> FockStateVector:
-    if not 0 <= n < cutoff:
+    if not 0 <= _integer(n, "n") < _integer(cutoff, "cutoff"):
         raise ArgumentError("n must be >= 0" if n < 0 else f"fock({n}) needs cutoff > {n}")
     amps = np.zeros(cutoff, dtype=complex)
     amps[n] = 1.0
@@ -167,13 +167,13 @@ def fock_superposition(n: int, k: int, cutoff: int) -> FockStateVector:
     k in {1, 2} is rejected: those superpositions have nonzero <a> or <a^2>,
     so the thermal-reference closed forms this family is built for do not apply.
     """
-    if n < 0 or k < 0:
+    if _integer(n, "n") < 0 or _integer(k, "k") < 0:
         raise ArgumentError("n and k must be >= 0")
     if k in (1, 2):
         raise ArgumentError(
             f"k = {k} rejected: <a> or <a^2> is nonzero and the thermal-reference "
             "closed forms do not hold; use k = 0 or k > 2")
-    if cutoff <= n + k:
+    if _integer(cutoff, "cutoff") <= n + k:
         raise ArgumentError(f"cutoff must exceed n + k = {n + k}")
     amps = np.zeros(cutoff, dtype=complex)
     amps[[n, n + k]] = 1.0 / math.sqrt(2) if k else 1.0
@@ -182,6 +182,7 @@ def fock_superposition(n: int, k: int, cutoff: int) -> FockStateVector:
 
 def diagonal_mixture(weights, cutoff: int) -> DensityMatrix:
     """sum_n q_n |n><n| from a weight profile (may extend beyond the cutoff)."""
+    _check_finite(cutoff)
     q = np.asarray(weights, dtype=float).ravel()
     if not np.all(q >= 0):   # NaN fails these checks
         raise ArgumentError("mixture weights must be non-negative")

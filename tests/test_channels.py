@@ -1,6 +1,7 @@
 import itertools
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from nongauss import (ArgumentError, ChannelSpec, DensityMatrix, FockStateVector
                       delta_a, delta_b, displace, kerr, loss, phase_diffusion, squeeze, tensor)
 from nongauss.channels import (_bs_blocks, _displacement_block, _kerr_moments,
                                _squeeze_block, loss_transition_matrix)
-from nongauss.fock import destroy, random_density_matrix
+from nongauss.fock import _log_factorials, destroy, random_density_matrix
 from nongauss.gaussian import (SingleModeGaussianParams, displacement_matrix,
                                gaussian_entropy, h, moments, squeeze_matrix,
                                synthesize_single_mode_gaussian)
@@ -46,6 +47,37 @@ def test_loss_diagonal_transition_identity():
     out = loss(rho, eta)
     t = loss_transition_matrix(eta, 10)
     assert np.max(np.abs(np.real(np.diag(out.matrix)) - t @ q)) < 1e-12
+
+
+@pytest.mark.parametrize("eta", [1e-9, 0.25, 0.6, 1 - 1e-9])
+def test_loss_transition_matrix_matches_exact_binomials(eta):
+    # C(p, l) eta^l (1 - eta)^(p - l) in exact rationals: eta = a / 2^s as a double,
+    # and an int ratio rounds correctly to the nearest double
+    d, tiny = 201, np.finfo(float).tiny
+    t = loss_transition_matrix(eta, d)
+    assert not np.any(np.tril(t, -1))
+    a, den = Fraction(eta).as_integer_ratio()
+    pa, pb = [a ** l for l in range(d)], [(den - a) ** k for k in range(d)]
+    for p, scale in enumerate(den ** p for p in range(d)):
+        exact = np.array([math.comb(p, l) * pa[l] * pb[p - l] / scale for l in range(p + 1)])
+        got, normal = t[:p + 1, p], exact >= tiny
+        assert np.all(np.abs(got - exact)[normal] <= 1e-12 * exact[normal])
+        assert np.all(got[~normal] < tiny)   # below the normal doubles both underflow
+
+
+def _loss_table_by_rows(eta: float, dim: int) -> np.ndarray:
+    """The reference table, filled one row at a time by the same per-entry expression."""
+    t, lf, ps = np.zeros((dim, dim)), _log_factorials(dim), np.arange(dim, dtype=float)
+    for l in range(dim):
+        t[l, l:] = np.exp(lf[l:] - lf[l] - lf[:dim - l]
+                          + (ps[l:] - l) * math.log(1.0 - eta) + l * math.log(eta))
+    return t
+
+
+@pytest.mark.parametrize("dim", [1, 2, 12, 40, 300])
+def test_loss_transition_matrix_is_the_row_loop_bit_for_bit(dim):
+    for eta in (1e-9, 0.25, 0.4, 0.6, 0.8, 1 - 1e-9):
+        assert np.array_equal(loss_transition_matrix(eta, dim), _loss_table_by_rows(eta, dim))
 
 
 def test_loss_semigroup():

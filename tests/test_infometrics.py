@@ -159,23 +159,27 @@ def _never(t):
 _NU = thermal(0.5, 30)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: Ensemble(((math.nan, fock(0, 6)), (math.nan, fock(1, 6)))),
-    lambda: Ensemble(((math.nan, fock(0, 6)),)),
-    lambda: StateFamily(_NU, np.full((30, 30), math.nan)),
-    lambda: qfi_ng_bound_check(_NU, _never, [0.0, 1e-2]),
-    lambda: qfi_ng_bound_check(_NU, _never, [math.nan]),
-    lambda: qfi_ng_bound_check(_NU, _never, [1e-2, math.inf]),
-    lambda: qfi_ng_bound_check(_NU, _never, []),
-    lambda: conjecture_a5_sweep(2, [1]),
-    lambda: conjecture_a5_sweep(2, [0]),
-    lambda: conjecture_a5_sweep(2, [4, 1]),
-    lambda: browne_state("a", math.inf),
-    lambda: epsilon_e(_NU, math.nan),
-], ids=["ensemble-nan", "ensemble-single-nan", "qfi-family-nan", "qfi-eps-zero", "qfi-eps-nan",
-        "qfi-eps-inf", "qfi-eps-none", "a5-cutoff-1", "a5-cutoff-0", "a5-late-cutoff-1",
-        "browne-inf", "epsilon-e-nan"])
-def test_untyped_inputs_are_argument_errors(build):
+_NON_FINITE = "derivative has a non-finite entry"
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: Ensemble(((math.nan, fock(0, 6)), (math.nan, fock(1, 6)))), None),
+    (lambda: Ensemble(((math.nan, fock(0, 6)),)), None),
+    (lambda: StateFamily(_NU, np.full((30, 30), math.nan)), _NON_FINITE),
+    (lambda: StateFamily(_NU, np.diag([math.inf, -math.inf] + [0.0] * 28)), _NON_FINITE),
+    (lambda: qfi_ng_bound_check(_NU, _never, [0.0, 1e-2]), None),
+    (lambda: qfi_ng_bound_check(_NU, _never, [math.nan]), None),
+    (lambda: qfi_ng_bound_check(_NU, _never, [1e-2, math.inf]), None),
+    (lambda: qfi_ng_bound_check(_NU, _never, []), None),
+    (lambda: conjecture_a5_sweep(2, [1]), None),
+    (lambda: conjecture_a5_sweep(2, [0]), None),
+    (lambda: conjecture_a5_sweep(2, [4, 1]), None),
+    (lambda: browne_state("a", math.inf), None),
+    (lambda: epsilon_e(_NU, math.nan), None),
+], ids=["ensemble-nan", "ensemble-single-nan", "qfi-family-nan", "qfi-family-inf",
+        "qfi-eps-zero", "qfi-eps-nan", "qfi-eps-inf", "qfi-eps-none", "a5-cutoff-1",
+        "a5-cutoff-0", "a5-late-cutoff-1", "browne-inf", "epsilon-e-nan"])
+def test_untyped_inputs_are_argument_errors(build, match):
     # each check runs before any work, and NaN fails it
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ArgumentError, match=match):
         build()

@@ -11,7 +11,7 @@ from nongauss import (DensityMatrix, beam_split, conditional_entropy_gap, delta_
 from nongauss.bounds import (PhotodetectionPOVM, detection_statistics, epsilon_a,
                              epsilon_b, epsilon_c, epsilon_d, epsilon_e)
 from nongauss.fock import tensor
-from nongauss.states import fock, thermal, vacuum
+from nongauss.states import fock, fock_superposition, thermal, vacuum
 
 D = 8  # per-mode cutoff; the random factors live below D // 2
 
@@ -134,6 +134,21 @@ def test_epsilon_a_b_and_c_bound_delta_b_on_fock_diagonal_states(rho, eta):
     assert epsilon_a(q) <= db + 1e-9
     assert epsilon_b(rho) <= db + 1e-9
     assert epsilon_c(rho, eta) <= db + 1e-9
+
+
+# (|n> + |n+k>)/sqrt(2) with k >= 3 and the Fock-diagonal states have <a> = <a^2> = 0
+superpositions = st.builds(lambda n, k: fock_superposition(n, k, CUT),
+                           st.integers(0, 20), st.integers(3, 19))
+thermal_reference_states = st.one_of(diagonal_states, superpositions)
+
+
+@property_settings
+@given(thermal_reference_states, st.floats(0.0, 1.0))
+def test_the_two_bound_formulas_agree_on_thermal_reference_states(rho, eta):
+    # there sigma = (N + 1/2) I, so tau_eta = nu_{eta N} and q_eta has mean eta N:
+    # S(nu_M) - H(q_eta) = S(tau_eta) - H(q_eta), and so at eta = 1 as well
+    assert abs(epsilon_c(rho, eta) - epsilon_e(rho, eta)) <= 1e-12
+    assert abs(epsilon_b(rho) - epsilon_d(rho)) <= 1e-12
 
 
 # -- the two-mode entropic gaps ------------------------------------------------

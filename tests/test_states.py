@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, i0
 
-from nongauss import (ArgumentError, ResourceError, Tolerances, TruncationError,
-                      delta_b, moments, partial_trace, random_density_matrix,
-                      von_neumann_entropy)
+from nongauss import (ArgumentError, DensityMatrix, FockStateVector, PhotodetectionPOVM,
+                      ResourceError, Tolerances, TruncationError, delta_b, moments,
+                      partial_trace, random_density_matrix, von_neumann_entropy)
 from nongauss import states
 from nongauss.config import using
-from nongauss.distillation import browne_state
+from nongauss.distillation import b_protocol_iterates, browne_state
+from nongauss.measures import conjecture_a5_sweep
 from nongauss.gaussian import h
 from nongauss.states import (PNESSpec, _coherent_amplitudes, cat, coherent,
                              delta_a_diagonal, delta_b_diagonal, diagonal_mixture,
@@ -358,9 +359,11 @@ def test_dense_constructors_check_the_cap_before_they_allocate(build):
     lambda: thermal(math.inf, 10),
     lambda: poisson(math.inf, 10),
     lambda: vacuum(0),
+    lambda: diagonal_mixture([1.0], 0),
 ], ids=["mixture-first", "mixture-middle", "thermal", "poisson", "coherent-nan", "coherent-inf",
         "squeezed-nan", "squeezed-phase-nan", "cat-nan", "cat-phase-nan", "cat-zero-norm",
-        "tmc-nan", "tmc-inf", "thermal-inf", "poisson-inf", "vacuum-no-levels"])
+        "tmc-nan", "tmc-inf", "thermal-inf", "poisson-inf", "vacuum-no-levels",
+        "mixture-no-levels"])
 def test_nan_arguments_are_argument_errors(build):
     # raised before any level is built: the peak stays below one 4096-level window
     tracemalloc.start()
@@ -371,3 +374,40 @@ def test_nan_arguments_are_argument_errors(build):
     finally:
         tracemalloc.stop()
     assert peak < 4096 * 16
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fock(1.5, 10),
+    lambda: fock(1, 10.0),
+    lambda: vacuum(2.5),
+    lambda: vacuum(4, 1.5),
+    lambda: coherent(1.0, 10.5),
+    lambda: squeezed_vacuum(0.5, 10.5),
+    lambda: cat(1.0, 0.3, 10.5),
+    lambda: poisson(1.0, 10.5),
+    lambda: thermal(0.5, 30.5),
+    lambda: diagonal_mixture([1.0], 10.5),
+    lambda: fock_superposition(1.5, 3, 10),
+    lambda: browne_state("a", 0.5, 8.5),
+    lambda: PhotodetectionPOVM(0.5, 10.5).weight_table(),
+    lambda: next(b_protocol_iterates(browne_state("a", 0.5), 2.5)),
+    lambda: pnes(PNESSpec("tmc", 1.0, 12.5)),
+    lambda: random_density_matrix(1, 4.5, 2),
+    lambda: random_density_matrix(1, 4, 2.5),
+    lambda: conjecture_a5_sweep(2, [2.5]),
+    lambda: conjecture_a5_sweep(2.5, [4]),
+    lambda: FockStateVector(1, 2.0, [1, 0]),
+    lambda: DensityMatrix(1, 2.0, np.diag([1.0, 0.0])),
+], ids=["fock-n", "fock-cutoff", "vacuum-cutoff", "vacuum-modes", "coherent", "squeezed", "cat",
+        "poisson", "thermal", "diagonal_mixture", "fock_superposition", "browne_state", "povm",
+        "b_protocol_steps", "pnes", "random-cutoff", "random-rank", "a5-cutoff", "a5-samples",
+        "vector-cutoff", "density-cutoff"])
+def test_sizes_that_are_not_integers_are_argument_errors(build):
+    # each message names the size and its value, thermal's too (not a matrix shape)
+    with pytest.raises(ArgumentError, match=r"must be an integer, got \d+\.\d"):
+        build()
+
+
+def test_integer_sizes_may_be_numpy_integers():
+    assert fock(np.int64(1), np.int32(4)).amplitudes[1] == 1.0
+    assert vacuum(np.int64(3), np.int64(2)).dim == 9
