@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import loss_transition_matrix
+from .channels import _efficiency, loss_transition_matrix
 from .config import tolerances
 from .errors import ArgumentError, NumericalValidityError
 from .fock import State, _integer, as_density, shannon_entropy
@@ -44,8 +44,7 @@ class PhotodetectionPOVM:
     cutoff: int
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ArgumentError("detector efficiency eta must lie in [0, 1]")
+        _efficiency(self.eta)
         if _integer(self.cutoff, "cutoff") < 1:
             raise ArgumentError("cutoff must be positive")
 
@@ -121,7 +120,9 @@ def epsilon_b(rho: State) -> float:
 
 def epsilon_c(rho: State, eta: float) -> float:
     """Like epsilon_B but through an inefficient detector: S(nu_M) - H(q)."""
-    q = detection_statistics(rho, PhotodetectionPOVM(eta, rho.cutoff))
+    povm = PhotodetectionPOVM(eta, rho.cutoff)
+    rho = as_density(rho)   # one dense copy of a vector, read by both calls
+    q = detection_statistics(rho, povm)
     _check_thermal_reference(rho)
     return epsilon_a(q)
 

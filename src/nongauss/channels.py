@@ -72,8 +72,8 @@ class ChannelSpec:
             arr = np.asarray(value)
             if arr.dtype.kind not in kinds or arr.shape != shape or not np.all(np.isfinite(arr)):
                 raise ArgumentError(f"{k}: {key} = {value!r} is not {what}")
-        if k == "loss" and not 0.0 <= p["eta"] <= 1.0:
-            raise ArgumentError("loss requires eta in [0, 1]")
+        if k == "loss":
+            _efficiency(p["eta"])
         if k == "phase_diffusion" and not p["delta"] >= 0:
             raise ArgumentError("phase diffusion requires delta >= 0")
 
@@ -104,6 +104,14 @@ class ChannelSpec:
 # loss
 # ---------------------------------------------------------------------------
 
+def _efficiency(eta) -> None:
+    """ArgumentError unless eta, a loss or detector efficiency, is a real
+    number in [0, 1] (NaN, a string or None is not)."""
+    arr = np.asarray(eta)
+    if not (arr.shape == () and arr.dtype.kind in "biuf" and 0.0 <= arr <= 1.0):
+        raise ArgumentError(f"efficiency {eta!r} is not a real number eta in [0, 1]")
+
+
 def loss_transition_matrix(eta: float, dim: int) -> np.ndarray:
     """T[l, p] = alpha_{l,p}(eta) = C(p, l) (1-eta)^(p-l) eta^l for l <= p.
 
@@ -111,8 +119,7 @@ def loss_transition_matrix(eta: float, dim: int) -> np.ndarray:
     weight alpha_{l,p}) and the inefficient-detector POVM (Pi_m weights
     |s><s| by alpha_{m,s}); log-space evaluation keeps it stable at large p.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ArgumentError("eta must lie in [0, 1]")
+    _efficiency(eta)
     if eta == 1.0:
         return np.eye(dim)
     t = np.zeros((dim, dim))
@@ -134,16 +141,13 @@ def loss(state: State, eta: float) -> DensityMatrix:
     rho = as_density(state)
     if rho.modes != 1:
         raise ArgumentError("loss is a single-mode channel")
-    if not 0.0 <= eta <= 1.0:
-        raise ArgumentError("eta must lie in [0, 1]")
     d = rho.cutoff
     amp = np.sqrt(loss_transition_matrix(eta, d))  # amp[l, p] = |<l|V_{p-l}|p>|
     out = np.zeros((d, d), dtype=complex)
     mat = rho.matrix
     for m in range(d):
-        pr = np.arange(m, d)
-        k = amp[pr - m, pr]  # diagonal of V_m in the shifted basis
-        out[:d - m, :d - m] += (k[:, None] * mat[np.ix_(pr, pr)] * k[None, :])
+        k = np.diagonal(amp, m)  # amp[p - m, p] for p >= m: V_m in the shifted basis
+        out[:d - m, :d - m] += (k[:, None] * mat[m:, m:] * k[None, :])
     out = 0.5 * (out + out.conj().T)
     return DensityMatrix(1, d, out, leakage=rho.leakage)
 

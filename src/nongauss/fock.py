@@ -14,8 +14,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .errors import ArgumentError, NumericalValidityError, ResourceError
 
 __all__ = [
     "FockStateVector", "DensityMatrix", "MeasureReport",
-    "destroy", "mode_operator",
     "state_from_json", "tensor", "partial_trace", "partial_transpose",
     "purity", "overlap", "von_neumann_entropy", "shannon_entropy",
     "random_density_matrix",
@@ -32,18 +30,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# elementary operators
+# elementary helpers
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=8)
-def destroy(dim: int) -> np.ndarray:
-    """Annihilation operator on a dim-level truncated mode."""
-    a = np.zeros((dim, dim), dtype=complex)
-    ns = np.arange(1, dim)
-    a[ns - 1, ns] = np.sqrt(ns)
-    a.setflags(write=False)
-    return a
-
 
 _LOG_FACTORIALS = np.empty(0)   # ln k! for k below its size, grown by _log_factorials
 
@@ -59,20 +47,6 @@ def _log_factorials(n: int) -> np.ndarray:
         table.setflags(write=False)
         _LOG_FACTORIALS = table
     return _LOG_FACTORIALS[:n]
-
-
-def mode_operator(op: np.ndarray, mode: int, modes: int, cutoff: int) -> np.ndarray:
-    """Embed a single-mode operator on the given mode of an n-mode space.
-
-    With the little-endian index convention, mode 0 sits on the fastest axis,
-    so the Kronecker chain runs from the highest mode down.
-    """
-    if not 0 <= mode < modes:
-        raise ArgumentError(f"mode {mode} out of range for {modes} modes")
-    out = np.eye(1, dtype=complex)
-    for m in range(modes - 1, -1, -1):
-        out = np.kron(out, op if m == mode else np.eye(cutoff, dtype=complex))
-    return out
 
 
 def _integer(value, name: str) -> int:
@@ -96,30 +70,22 @@ def _check_dense_dim(dim: int) -> None:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FockStateVector:
-    """Pure n-mode state over the truncated Fock basis.
-
-    ``leakage`` is the norm mass lost to truncation, as for DensityMatrix.
-    """
+class _Carrier:
+    """What both carriers share: ``modes`` modes of ``cutoff`` levels each, a
+    payload (the third field), and ``leakage``, the norm or trace mass that
+    constructors, channels and unitaries lost to truncation (informational: it
+    does not enter the payload).  A subclass declares its payload and then
+    ``leakage: float = 0.0``, so the positional order is (modes, cutoff,
+    payload, leakage)."""
 
     modes: int
     cutoff: int
-    amplitudes: np.ndarray
-    leakage: float = 0.0
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).ravel()
-        object.__setattr__(self, "amplitudes", amps)
-        if _integer(self.modes, "modes") < 1 or _integer(self.cutoff, "cutoff") < 1:
+        for name in ("modes", "cutoff"):   # an np.integer size becomes an int
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        if self.modes < 1 or self.cutoff < 1:
             raise ArgumentError("modes and cutoff must be positive")
-        if amps.size != self.cutoff ** self.modes:
-            raise ArgumentError(
-                f"amplitude length {amps.size} does not match "
-                f"cutoff**modes = {self.cutoff ** self.modes}")
-        nrm = float(np.linalg.norm(amps))
-        if not abs(nrm - 1.0) <= tolerances().norm:   # NaN fails every check
-            raise NumericalValidityError(
-                f"state vector norm {nrm} deviates from 1 beyond tolerance")
         if not self.leakage >= 0:
             raise ArgumentError("leakage must be non-negative")
 
@@ -127,49 +93,69 @@ class FockStateVector:
     def dim(self) -> int:
         return self.cutoff ** self.modes
 
-    def as_tensor(self) -> np.ndarray:
-        """Amplitudes reshaped to (cutoff,)*modes; mode 0 is the last axis."""
-        return self.amplitudes.reshape((self.cutoff,) * self.modes)
-
     def photon_numbers(self) -> np.ndarray:
         """Mean photon number per mode."""
-        return _photon_numbers(np.abs(self.amplitudes) ** 2, self.modes, self.cutoff)
+        pops, d = self._populations(), self.cutoff
+        idx = np.arange(pops.size)
+        return np.array([float(np.sum(pops * ((idx // d ** m) % d))) for m in range(self.modes)])
 
     def energy(self) -> float:
         return float(np.sum(self.photon_numbers()))
+
+    def to_json(self) -> str:
+        flat = getattr(self, fields(self)[2].name).ravel()
+        return json.dumps({"modes": self.modes, "cutoff": self.cutoff, "re": flat.real.tolist(),
+                           "im": flat.imag.tolist(), "leakage": self.leakage})
+
+    @classmethod
+    def from_json(cls, text: str) -> State:
+        return state_from_json(text, cls)
+
+
+@dataclass(frozen=True)
+class FockStateVector(_Carrier):
+    """Pure n-mode state over the truncated Fock basis."""
+
+    amplitudes: np.ndarray
+    leakage: float = 0.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        amps = np.asarray(self.amplitudes, dtype=complex).ravel()
+        object.__setattr__(self, "amplitudes", amps)
+        if amps.size != self.dim:
+            raise ArgumentError(
+                f"amplitude length {amps.size} does not match cutoff**modes = {self.dim}")
+        nrm = float(np.linalg.norm(amps))
+        if not abs(nrm - 1.0) <= tolerances().norm:   # NaN fails every check
+            raise NumericalValidityError(
+                f"state vector norm {nrm} deviates from 1 beyond tolerance")
+
+    def _populations(self) -> np.ndarray:
+        return np.abs(self.amplitudes) ** 2
+
+    def as_tensor(self) -> np.ndarray:
+        """Amplitudes reshaped to (cutoff,)*modes; mode 0 is the last axis."""
+        return self.amplitudes.reshape((self.cutoff,) * self.modes)
 
     def density(self) -> "DensityMatrix":
         _check_dense_dim(self.dim)
         return DensityMatrix(self.modes, self.cutoff,
                              np.outer(self.amplitudes, self.amplitudes.conj()), self.leakage)
 
-    def to_json(self) -> str:
-        return _state_json(self, self.amplitudes)
-
-    @staticmethod
-    def from_json(text: str) -> "FockStateVector":
-        return state_from_json(text, FockStateVector)
-
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """n-mode mixed state: Hermitian, unit-trace matrix over the truncated basis.
+class DensityMatrix(_Carrier):
+    """n-mode mixed state: Hermitian, unit-trace matrix over the truncated basis."""
 
-    ``leakage`` accumulates the trace mass lost to truncation by channel and
-    unitary applications; it is informational and does not enter the matrix.
-    """
-
-    modes: int
-    cutoff: int
     matrix: np.ndarray
     leakage: float = 0.0
 
     def __post_init__(self):
+        super().__post_init__()
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", mat)
-        if _integer(self.modes, "modes") < 1 or _integer(self.cutoff, "cutoff") < 1:
-            raise ArgumentError("modes and cutoff must be positive")
-        dim = self.cutoff ** self.modes
+        dim = self.dim
         if mat.shape != (dim, dim):
             raise ArgumentError(f"matrix shape {mat.shape} does not match dimension {dim}")
         _check_dense_dim(dim)
@@ -180,52 +166,30 @@ class DensityMatrix:
         tr = complex(np.trace(mat))
         if not abs(tr - 1.0) <= tol.norm:
             raise NumericalValidityError(f"trace {tr} deviates from 1 beyond tolerance")
-        if not self.leakage >= 0:
-            raise ArgumentError("leakage must be non-negative")
 
-    @property
-    def dim(self) -> int:
-        return self.cutoff ** self.modes
+    def _populations(self) -> np.ndarray:
+        return np.real(np.diag(self.matrix))
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
-
-    def photon_numbers(self) -> np.ndarray:
-        """Mean photon number per mode."""
-        return _photon_numbers(np.real(np.diag(self.matrix)), self.modes, self.cutoff)
-
-    def energy(self) -> float:
-        return float(np.sum(self.photon_numbers()))
-
-    def to_json(self) -> str:
-        return _state_json(self, self.matrix.ravel())
-
-    @staticmethod
-    def from_json(text: str) -> "DensityMatrix":
-        return state_from_json(text, DensityMatrix)
 
 
 State = FockStateVector | DensityMatrix
 
 
-def _state_json(state: State, flat: np.ndarray) -> str:
-    return json.dumps({"modes": state.modes, "cutoff": state.cutoff, "re": flat.real.tolist(),
-                       "im": flat.imag.tolist(), "leakage": state.leakage})
-
-
 def state_from_json(text: str, kind: type | None = None) -> State:
     """The state ``to_json`` wrote (a `kind` one if given): "re" and "im" hold
     cutoff**modes entries for a vector, their square for a matrix.  Malformed
-    text (not JSON, a missing key, a non-numeric, non-finite or ragged entry,
-    lists of the wrong length) is an ArgumentError."""
+    text (not JSON, a missing key, a size that is not an integer, a non-numeric,
+    non-finite or ragged entry, lists of the wrong length) is an ArgumentError."""
     try:
         obj = json.loads(text)
-        modes, cutoff = int(obj["modes"]), int(obj["cutoff"])
+        modes, cutoff = _integer(obj["modes"], "modes"), _integer(obj["cutoff"], "cutoff")
         values = np.asarray([obj["re"], obj["im"]], dtype=float)
         leakage = float(obj.get("leakage", 0.0))
     except KeyError as exc:
         raise ArgumentError(f"state JSON lacks the key {exc}") from None
-    except (ValueError, TypeError) as exc:   # JSONDecodeError is a ValueError
+    except (ValueError, TypeError) as exc:   # JSONDecodeError and ArgumentError are ValueErrors
         raise ArgumentError(f"malformed state JSON: {exc}") from None
     if not np.all(np.isfinite(values)):
         raise ArgumentError("state JSON holds a non-finite entry")
@@ -236,13 +200,6 @@ def state_from_json(text: str, kind: type | None = None) -> State:
         return DensityMatrix(modes, cutoff, amps.reshape(dim, dim), leakage)
     raise ArgumentError(f"state JSON: {amps.size} entries fit no {modes}-mode "
                         f"{getattr(kind, '__name__', 'state')} at cutoff {cutoff}")
-
-
-def _photon_numbers(populations: np.ndarray, modes: int, cutoff: int) -> np.ndarray:
-    """Mean photon number per mode from the Fock-basis populations."""
-    idx = np.arange(populations.size)
-    return np.array([float(np.sum(populations * ((idx // cutoff ** m) % cutoff)))
-                     for m in range(modes)])
 
 
 def as_density(state: State) -> DensityMatrix:
@@ -341,34 +298,35 @@ def overlap(a: DensityMatrix, b: DensityMatrix) -> float:
     return float(val.real)
 
 
-def shannon_entropy(p) -> float:
-    """-sum p log p with 0*log(0) := 0."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p < -tolerances().eig):
-        raise NumericalValidityError("probabilities must be non-negative")
-    p = np.clip(p, 0.0, None)
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log(nz)))
-
-
 def _entropy_of_spectrum(eigs: np.ndarray) -> tuple[float, float]:
-    """Entropy in nats plus the clamped negative-eigenvalue mass."""
-    tol = tolerances()
+    """-sum p ln p in nats over the positive entries of a spectrum or a
+    distribution, plus the clamped negative mass; an entry below -tol_eig is
+    a NumericalValidityError."""
     lo = float(eigs.min()) if eigs.size else 0.0
-    if lo < -tol.eig:
+    if lo < -tolerances().eig:
         raise NumericalValidityError(
-            f"eigenvalue {lo:.3e} below -tol_eig; state is not numerically positive")
+            f"entry {lo:.3e} below -tol_eig; not a numerically positive spectrum or distribution")
     clamped = float(-np.sum(eigs[eigs < 0.0]))
     lam = eigs[eigs > 0.0]
     return float(-np.sum(lam * np.log(lam))), clamped
 
 
+def shannon_entropy(p) -> float:
+    """-sum p log p with 0*log(0) := 0."""
+    return _entropy_of_spectrum(np.asarray(p, dtype=float))[0]
+
+
+def _entropy_and_clamp(rho: State) -> tuple[float, float]:
+    """S(rho) in nats and the clamped negative-eigenvalue mass; exact zeros
+    for a pure state vector."""
+    if isinstance(rho, FockStateVector):
+        return 0.0, 0.0
+    return _entropy_of_spectrum(rho.eigenvalues())
+
+
 def von_neumann_entropy(rho: State) -> float:
     """S(rho) = -Tr[rho log rho]; exact 0 for pure state vectors."""
-    if isinstance(rho, FockStateVector):
-        return 0.0
-    value, _ = _entropy_of_spectrum(rho.eigenvalues())
-    return value
+    return _entropy_and_clamp(rho)[0]
 
 
 def random_density_matrix(modes: int, cutoff: int, rank: int, seed=None) -> DensityMatrix:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .config import tolerances
 from .errors import ArgumentError, NumericalValidityError, TruncationError
-from .fock import DensityMatrix, FockStateVector, State, destroy, mode_operator
+from .fock import DensityMatrix, FockStateVector, State
 
 __all__ = [
     "GaussianData", "SingleModeGaussianParams", "marginal",
@@ -104,15 +104,14 @@ def _ladder(t: np.ndarray, axis: int, lower: bool) -> np.ndarray:
 
 @lru_cache(maxsize=4)   # a two-mode set at cutoff 40 is 190 MB
 def _moment_operators(modes: int, dim: int):
-    """Quadrature operators (q1, p1, ...) on an n-mode space of per-mode dim."""
-    a = destroy(dim)
+    """Quadrature operators (q1, p1, ...) on an n-mode space of per-mode dim;
+    mode 0 is the fastest index, so each Kronecker chain runs from the top mode down."""
+    a = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
     q1 = (a + a.conj().T) / np.sqrt(2)
     p1 = -1j * (a - a.conj().T) / np.sqrt(2)
-    ops = []
-    for m in range(modes):
-        ops.append(mode_operator(q1, m, modes, dim))
-        ops.append(mode_operator(p1, m, modes, dim))
-    return tuple(ops)
+    return tuple(reduce(np.kron, [op if k == m else np.eye(dim, dtype=complex)
+                                  for k in range(modes - 1, -1, -1)], np.eye(1, dtype=complex))
+                 for m in range(modes) for op in (q1, p1))
 
 
 def _pad_tensor(t: np.ndarray, pad: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from ._blas import serial_blas
 from .channels import ChannelSpec, _kerr_moments, apply_channel
 from .errors import ArgumentError, NumericalValidityError
 from .fock import (DensityMatrix, FockStateVector, MeasureReport, State,
-                   as_density, _entropy_of_spectrum, _integer, _log_factorials, purity,
+                   as_density, _entropy_and_clamp, _integer, _log_factorials, purity,
                    random_density_matrix)
 from .gaussian import (GaussianData, displacement_matrix, fit_single_mode_gaussian,
                        gaussian_entropy, gaussian_fock_block, h, moments, squeeze_matrix,
@@ -73,10 +73,7 @@ def delta_b(rho: State) -> MeasureReport:
 def _delta_b_from_moments(rho: State, g: GaussianData) -> MeasureReport:
     """delta_B of rho whose moments g the caller already holds."""
     s_tau = gaussian_entropy(g)
-    if isinstance(rho, FockStateVector):
-        s_rho, clamped = 0.0, 0.0
-    else:
-        s_rho, clamped = _entropy_of_spectrum(rho.eigenvalues())
+    s_rho, clamped = _entropy_and_clamp(rho)
     value = _nonnegative("delta_B", s_tau - s_rho)  # Klein: S(tau) >= S(rho)
     return MeasureReport(value, {"leakage": rho.leakage, "cutoff_used": rho.cutoff,
                                  "clamped_eigenvalue_mass": clamped})

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nongauss import (ArgumentError, PhotodetectionPOVM, delta_b,
+from nongauss import (ArgumentError, FockStateVector, PhotodetectionPOVM, delta_b,
                       detection_statistics, epsilon_a, epsilon_b, epsilon_c,
                       epsilon_d, epsilon_e, histogram_to_distribution, loss)
 from nongauss.channels import phase_diffusion
@@ -65,6 +65,16 @@ def test_epsilon_c():
     assert abs(epsilon_c(f2, 1.0) - epsilon_b(f2)) < 1e-12
     psi = fock_superposition(1, 3, 40)
     assert epsilon_c(psi, 0.7) <= epsilon_b(psi) + 1e-6  # data processing
+
+
+def test_epsilon_c_makes_one_dense_copy_of_a_vector(monkeypatch):
+    # the counts and the thermal-reference gate read the same density
+    copies = []
+    density = FockStateVector.density
+    monkeypatch.setattr(FockStateVector, "density", lambda self: copies.append(1) or density(self))
+    psi = fock_superposition(1, 3, 40)
+    assert epsilon_c(psi, 0.7) == epsilon_c(psi.density(), 0.7)
+    assert len(copies) == 2   # one inside the vector's epsilon_c, one in the line above
 
 
 def test_epsilon_d():

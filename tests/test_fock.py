@@ -8,7 +8,8 @@ from nongauss import (ArgumentError, DensityMatrix, FockStateVector,
                       NumericalValidityError, TruncationError, moments, overlap,
                       partial_trace, partial_transpose, purity,
                       random_density_matrix, tensor, von_neumann_entropy)
-from nongauss.fock import _log_factorials
+from nongauss.config import tolerances
+from nongauss.fock import _entropy_and_clamp, _log_factorials, shannon_entropy
 from nongauss.states import fock, thermal, vacuum
 
 
@@ -168,6 +169,33 @@ def test_von_neumann_entropy():
     mixed = DensityMatrix(1, 4, np.diag([0.5, 0.5, 0, 0]).astype(complex))
     assert abs(von_neumann_entropy(mixed) - np.log(2)) < 1e-12
     assert abs(von_neumann_entropy(mixed) / np.log(2) - 1.0) < 1e-12
+    assert _entropy_and_clamp(fock(3, 10)) == (0.0, 0.0)
+    clamped = DensityMatrix(1, 2, np.diag([1.0 + 1e-13, -1e-13]).astype(complex))
+    assert _entropy_and_clamp(clamped)[1] == 1e-13
+
+
+def _clip_and_mask_shannon(p) -> float:
+    """-sum p log p by clipping to 0 and masking the zeros: the reference for
+    shannon_entropy."""
+    p = np.clip(np.asarray(p, dtype=float), 0.0, None)
+    nz = p[p > 0]
+    return float(-np.sum(nz * np.log(nz)))
+
+
+def test_shannon_entropy_matches_its_clip_and_mask_body():
+    # bit for bit, also with zeros and with noise entries in (-tol_eig, 0)
+    rng = np.random.default_rng(28)
+    tol = tolerances().eig
+    for size in (1, 2, 7, 40, 300):
+        for _ in range(25):
+            p = rng.dirichlet(np.ones(size) * rng.uniform(0.05, 2.0))
+            p[rng.random(size) < 0.2] = 0.0
+            noise = rng.random(size) < 0.2
+            p[noise] = -tol * rng.random(int(noise.sum()))
+            assert shannon_entropy(p) == _clip_and_mask_shannon(p)
+            assert shannon_entropy(list(p)) == _clip_and_mask_shannon(p)
+    with pytest.raises(NumericalValidityError, match="below -tol_eig"):
+        shannon_entropy([1.0 + 2 * tol, -2 * tol])
 
 
 def test_unitary_invariance():
@@ -214,7 +242,10 @@ def test_json_round_trip():
     '{{"modes": 1, "cutoff": 2, "re": {re}, "im": {im}',
     '{{"modes": 1, "cutoff": 2, "re": {re_text}, "im": {im}}}',
     '{{"modes": 1, "cutoff": 2, "re": {re}, "im": [0.0]}}',
-], ids=["missing-key", "not-json", "non-numeric", "im-length"])
+    '{{"modes": 1, "cutoff": 2.7, "re": {re}, "im": {im}}}',
+    '{{"modes": 1.9, "cutoff": 2, "re": {re}, "im": {im}}}',
+], ids=["missing-key", "not-json", "non-numeric", "im-length", "fractional-cutoff",
+        "fractional-modes"])
 def test_malformed_state_json_is_an_argument_error(kind, entries, text):
     re = [1.0] + [0.0] * (entries - 1)
     text = text.format(re=re, im=[0.0] * entries, re_text=json.dumps(re[:-1] + ["x"]))

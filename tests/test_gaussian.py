@@ -9,9 +9,8 @@ from nongauss import (ArgumentError, DensityMatrix, GaussianData,
                       random_density_matrix, reference_gaussian_state,
                       symplectic_eigenvalues, von_neumann_entropy)
 from nongauss.channels import displace, squeeze
-from nongauss.fock import destroy
-from nongauss.gaussian import (displacement_matrix, gaussian_fock_block, marginal,
-                               squeeze_matrix, synthesize_single_mode_gaussian,
+from nongauss.gaussian import (_moment_operators, displacement_matrix, gaussian_fock_block,
+                               marginal, squeeze_matrix, synthesize_single_mode_gaussian,
                                SingleModeGaussianParams)
 from nongauss.states import (_squeezed_vacuum_amplitudes, cat, coherent, fock,
                              squeezed_vacuum, thermal, vacuum)
@@ -30,6 +29,37 @@ def test_moments_basics():
     for n in (1, 3, 9):  # includes the top level: padding keeps products exact
         g = moments(fock(n, 10))
         assert np.max(np.abs(g.sigma - (n + 0.5) * np.eye(2))) < 1e-12
+
+
+def _kron_loop_moment_operators(modes: int, dim: int) -> list:
+    """(q1, p1, ...), the reference for _moment_operators: an index-assigned
+    ladder matrix, embedded in each mode by a Kronecker loop from the highest
+    mode down."""
+    a = np.zeros((dim, dim), dtype=complex)
+    ns = np.arange(1, dim)
+    a[ns - 1, ns] = np.sqrt(ns)
+    q1 = (a + a.conj().T) / np.sqrt(2)
+    p1 = -1j * (a - a.conj().T) / np.sqrt(2)
+    ops = []
+    for mode in range(modes):
+        for op in (q1, p1):
+            out = np.eye(1, dtype=complex)
+            for m in range(modes - 1, -1, -1):
+                out = np.kron(out, op if m == mode else np.eye(dim, dtype=complex))
+            ops.append(out)
+    return ops
+
+
+@pytest.mark.parametrize("modes", [1, 2])
+@pytest.mark.parametrize("dim", [2, 3, 10, 32])
+def test_moment_operators_match_the_kronecker_loop_bit_for_bit(modes, dim):
+    # the density-path moments (and the map-search probes and fig 9 cells that
+    # read them) follow the last bits of these operators
+    ops = _moment_operators.__wrapped__(modes, dim)   # uncached: a 2-mode set at 32 is 64 MB
+    ref = _kron_loop_moment_operators(modes, dim)
+    assert len(ops) == len(ref) == 2 * modes
+    for op, r in zip(ops, ref):
+        assert op.dtype == r.dtype and np.array_equal(op, r) and op.tobytes() == r.tobytes()
 
 
 def test_moments_leak_gate():
@@ -146,7 +176,7 @@ def test_fit_synthesize_idempotent():
 
 def _expm_gaussian_block(p: SingleModeGaussianParams, cutoff: int, dim: int) -> np.ndarray:
     """D S nu S^dag D^dag from dense exponentials on dim levels, cropped to the cutoff."""
-    a = destroy(dim)
+    a = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
     ad = a.conj().T
     zeta = p.r * np.exp(1j * p.phi)
     u = scipy.linalg.expm(p.alpha * ad - np.conj(p.alpha) * a) @ scipy.linalg.expm(
@@ -241,7 +271,7 @@ def test_dense_unitaries_are_expm_of_the_dense_products_bit_for_bit():
         dim = int(rng.integers(1, 200))
         r, phi = rng.uniform(0.0, 1.5), rng.uniform(0.0, 2 * np.pi)
         alpha = complex(*rng.standard_normal(2))
-        a = destroy(dim)
+        a = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
         ad = a.conj().T
         zeta = r * np.exp(1j * phi)
         dense_d = alpha * ad - np.conj(alpha) * a

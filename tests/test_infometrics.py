@@ -8,7 +8,8 @@ from nongauss import (ArgumentError, DensityMatrix, Ensemble, FockStateVector,
                       gaussian_conditional_entropy, gaussian_mutual_information,
                       holevo_chi, moments, mutual_information,
                       mutual_information_gap, qfi, qfi_ng_bound_check, tensor)
-from nongauss.bounds import epsilon_e
+from nongauss.bounds import PhotodetectionPOVM, epsilon_e
+from nongauss.channels import loss, loss_transition_matrix
 from nongauss.distillation import browne_state
 from nongauss.measures import conjecture_a5_sweep
 from nongauss.states import (PNESSpec, coherent, diagonal_mixture, fock, pnes,
@@ -160,6 +161,7 @@ _NU = thermal(0.5, 30)
 
 
 _NON_FINITE = "derivative has a non-finite entry"
+_ETA = r"is not a real number eta in \[0, 1\]"
 
 
 @pytest.mark.parametrize("build, match", [
@@ -176,9 +178,20 @@ _NON_FINITE = "derivative has a non-finite entry"
     (lambda: conjecture_a5_sweep(2, [4, 1]), None),
     (lambda: browne_state("a", math.inf), None),
     (lambda: epsilon_e(_NU, math.nan), None),
+    (lambda: PhotodetectionPOVM("0.5", 10), _ETA),
+    (lambda: PhotodetectionPOVM(None, 10), _ETA),
+    (lambda: PhotodetectionPOVM(math.nan, 10), _ETA),
+    (lambda: loss_transition_matrix("0.5", 4), _ETA),
+    (lambda: loss_transition_matrix(None, 4), _ETA),
+    (lambda: loss_transition_matrix(math.nan, 4), _ETA),
+    (lambda: loss(fock(1, 6), "0.5"), _ETA),
+    (lambda: loss(fock(1, 6), None), _ETA),
+    (lambda: loss(fock(1, 6), math.nan), _ETA),
 ], ids=["ensemble-nan", "ensemble-single-nan", "qfi-family-nan", "qfi-family-inf",
         "qfi-eps-zero", "qfi-eps-nan", "qfi-eps-inf", "qfi-eps-none", "a5-cutoff-1",
-        "a5-cutoff-0", "a5-late-cutoff-1", "browne-inf", "epsilon-e-nan"])
+        "a5-cutoff-0", "a5-late-cutoff-1", "browne-inf", "epsilon-e-nan", "povm-eta-str",
+        "povm-eta-none", "povm-eta-nan", "loss-table-eta-str", "loss-table-eta-none",
+        "loss-table-eta-nan", "loss-eta-str", "loss-eta-none", "loss-eta-nan"])
 def test_untyped_inputs_are_argument_errors(build, match):
     # each check runs before any work, and NaN fails it
     with pytest.raises(ArgumentError, match=match):

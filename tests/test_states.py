@@ -12,6 +12,7 @@ from nongauss import (ArgumentError, DensityMatrix, FockStateVector, Photodetect
 from nongauss import states
 from nongauss.config import using
 from nongauss.distillation import b_protocol_iterates, browne_state
+from nongauss.fock import state_from_json
 from nongauss.measures import conjecture_a5_sweep
 from nongauss.gaussian import h
 from nongauss.states import (PNESSpec, _coherent_amplitudes, cat, coherent,
@@ -411,3 +412,7 @@ def test_sizes_that_are_not_integers_are_argument_errors(build):
 def test_integer_sizes_may_be_numpy_integers():
     assert fock(np.int64(1), np.int32(4)).amplitudes[1] == 1.0
     assert vacuum(np.int64(3), np.int64(2)).dim == 9
+    # the carriers keep them as ints, so their JSON can be written and read back
+    for state in (fock(np.int64(1), np.int32(4)), thermal(0.5, np.int64(30))):
+        assert type(state.modes) is int and type(state.cutoff) is int
+        assert state_from_json(state.to_json()).cutoff == state.cutoff
