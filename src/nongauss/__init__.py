@@ -2,7 +2,6 @@
 Fock space: measures, state families, channels, distillation protocols,
 entropic gaps and measurable lower bounds."""
 
-from .config import Tolerances, tolerances, use_profile
 from .errors import (ArgumentError, NonGaussError, NumericalValidityError,
                      ResourceError, TruncationError)
 from .fock import (DensityMatrix, FockStateVector, MeasureReport, overlap,

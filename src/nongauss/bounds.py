@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
 from .channels import _efficiency, loss_transition_matrix
-from .config import tolerances
 from .errors import ArgumentError, NumericalValidityError
 from .fock import State, _integer, as_density, shannon_entropy
 from .gaussian import GaussianData, gaussian_entropy, moments
@@ -54,7 +54,7 @@ class PhotodetectionPOVM:
 
 
 def detection_statistics(rho: State, povm: PhotodetectionPOVM) -> np.ndarray:
-    """q_m = Tr[rho Pi_m]; non-negative and summing to 1 within tail_tol."""
+    """q_m = Tr[rho Pi_m]; non-negative and summing to 1 within max(config.TAIL, 1e-9)."""
     rho = as_density(rho)
     if rho.modes != 1:
         raise ArgumentError("detection statistics are single-mode")
@@ -63,14 +63,14 @@ def detection_statistics(rho: State, povm: PhotodetectionPOVM) -> np.ndarray:
             f"POVM cutoff {povm.cutoff} does not match the state cutoff {rho.cutoff}")
     q = povm.weight_table() @ np.real(np.diag(rho.matrix))
     q = np.clip(q, 0.0, None)
-    if abs(q.sum() - 1.0) > max(tolerances().tail, 1e-9):
+    if abs(q.sum() - 1.0) > max(config.TAIL, 1e-9):
         raise NumericalValidityError(f"detection statistics sum to {q.sum()}")
     return q / q.sum()
 
 
 def histogram_to_distribution(rows) -> np.ndarray:
     """Normalize measured (m, count) rows into a dense q_m vector."""
-    rows = [(int(m), float(c)) for m, c in rows]
+    rows = [(_integer(m, "photon number m"), float(c)) for m, c in rows]
     if not rows:
         raise ArgumentError("empty histogram")
     if any(m < 0 or not c >= 0 for m, c in rows):   # NaN fails this check

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import tolerances
+from . import config
 from .errors import ArgumentError, NumericalValidityError, TruncationError
 from .fock import DensityMatrix, FockStateVector, State, _log_factorials, as_density
 from .gaussian import GaussianData, _refuse_leaking
@@ -229,7 +229,7 @@ def _apply_local_unitary(state: State, act, modes: tuple[int, ...], name: str) -
         t = act(t, tuple(ax + m for ax in ket), True).reshape(d ** m, d ** m)
         kept = float(np.real(np.trace(t)))
     leak = max(1.0 - kept, 0.0)
-    if leak > tolerances().leak_max:
+    if leak > config.LEAK_MAX:
         raise TruncationError(
             f"{name}: leakage {leak:.3e} beyond leak_max; increase the cutoff")
     if isinstance(state, FockStateVector):

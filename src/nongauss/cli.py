@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import channels, config, states
+from . import channels, states
 from .channels import _OPERATIONS, ChannelSpec, _signature, apply_channel
 from .distillation import (b_protocol_run, browne_state, log_negativity,
                            t_protocol_output)
@@ -362,8 +362,6 @@ def _common_options() -> argparse.ArgumentParser:
     # set at one position from being clobbered by the other's default
     c = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     c.add_argument("--cutoff", type=int, help="per-mode Fock cutoff")
-    c.add_argument("--tolerance-profile", choices=sorted(config.PROFILES),
-                   help="numerical tolerance profile")
     c.add_argument("--log-base", choices=["nat", "2"],
                    help="log base (default: natural) of the entropies reported by "
                         "measure deltaB/deltaC, bound, sweep deltaB/deltaC and "
@@ -442,8 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _GLOBAL_DEFAULTS = {"cutoff": DEFAULT_CUTOFF, "log_base": "nat", "seed": 0,
-                    "threads": 1, "tolerance_profile": "default", "out": None,
-                    "json_errors": False}
+                    "threads": 1, "out": None, "json_errors": False}
 
 
 def main(argv=None) -> int:
@@ -457,8 +454,7 @@ def main(argv=None) -> int:
         for key, default in _GLOBAL_DEFAULTS.items():
             if not hasattr(args, key):
                 setattr(args, key, default)
-        with config.using(args.tolerance_profile):   # the profile is scoped to this run
-            code = args.fn(args)
+        code = args.fn(args)
         sys.stdout.flush()   # a closed pipe fails here, not at interpreter exit
         return code
     except BrokenPipeError:

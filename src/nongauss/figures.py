@@ -8,7 +8,6 @@ order regardless of the worker pool size.
 
 from __future__ import annotations
 
-import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -29,13 +28,11 @@ __all__ = ["FIGURES", "build_figure"]
 
 
 def _parallel_map(fn, items, threads: int = 1):
-    """fn over items in order; each pool job runs in a copy of the caller's
-    context, so it sees the caller's tolerance profile."""
+    """fn over items, in order, on a pool of `threads` workers."""
     if threads <= 1:
         return [fn(item) for item in items]
-    context = contextvars.copy_context()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda item: context.copy().run(fn, item), items))
+        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------

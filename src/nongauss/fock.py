@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import tolerances
+from . import config
 from .errors import ArgumentError, NumericalValidityError, ResourceError
 
 __all__ = [
@@ -59,7 +59,7 @@ def _integer(value, name: str) -> int:
 
 
 def _check_dense_dim(dim: int) -> None:
-    cap = tolerances().max_dense_dim
+    cap = config.MAX_DENSE_DIM
     if dim > cap:
         raise ResourceError(
             f"dense Hilbert dimension {dim} exceeds the configured cap {cap}")
@@ -127,7 +127,7 @@ class FockStateVector(_Carrier):
             raise ArgumentError(
                 f"amplitude length {amps.size} does not match cutoff**modes = {self.dim}")
         nrm = float(np.linalg.norm(amps))
-        if not abs(nrm - 1.0) <= tolerances().norm:   # NaN fails every check
+        if not abs(nrm - 1.0) <= config.NORM:   # NaN fails every check
             raise NumericalValidityError(
                 f"state vector norm {nrm} deviates from 1 beyond tolerance")
 
@@ -159,12 +159,11 @@ class DensityMatrix(_Carrier):
         if mat.shape != (dim, dim):
             raise ArgumentError(f"matrix shape {mat.shape} does not match dimension {dim}")
         _check_dense_dim(dim)
-        tol = tolerances()
         herm = float(np.max(np.abs(mat - mat.conj().T))) if dim else 0.0
-        if not herm <= tol.herm:   # NaN fails these checks
+        if not herm <= config.HERM:   # NaN fails these checks
             raise NumericalValidityError(f"matrix is not Hermitian (residue {herm:.3e})")
         tr = complex(np.trace(mat))
-        if not abs(tr - 1.0) <= tol.norm:
+        if not abs(tr - 1.0) <= config.NORM:
             raise NumericalValidityError(f"trace {tr} deviates from 1 beyond tolerance")
 
     def _populations(self) -> np.ndarray:
@@ -290,25 +289,25 @@ def overlap(a: DensityMatrix, b: DensityMatrix) -> float:
     if a.dim != b.dim or a.modes != b.modes:
         raise ArgumentError("overlap requires states of identical dimensions")
     val = complex(np.vdot(a.matrix, b.matrix))  # Tr[a^dag b] = Tr[a b]
-    tol = tolerances()
-    if abs(val.imag) > tol.herm * max(1.0, abs(val.real)):
+    if abs(val.imag) > config.HERM * max(1.0, abs(val.real)):
         raise NumericalValidityError(f"overlap has imaginary part {val.imag:.3e}")
-    if val.real < -tol.eig:
+    if val.real < -config.EIG:
         raise NumericalValidityError(f"overlap {val.real:.3e} below -tol_eig")
     return float(val.real)
 
 
 def _entropy_of_spectrum(eigs: np.ndarray) -> tuple[float, float]:
     """-sum p ln p in nats over the positive entries of a spectrum or a
-    distribution, plus the clamped negative mass; an entry below -tol_eig is
-    a NumericalValidityError."""
+    distribution (+0.0 for a point mass), plus the clamped negative mass; an
+    entry below -config.EIG, or a NaN, is a NumericalValidityError."""
     lo = float(eigs.min()) if eigs.size else 0.0
-    if lo < -tolerances().eig:
+    if not lo >= -config.EIG:   # NaN fails the check
         raise NumericalValidityError(
-            f"entry {lo:.3e} below -tol_eig; not a numerically positive spectrum or distribution")
+            f"entry {lo:.3e} is NaN or below -tol_eig; not a numerically positive spectrum or "
+            "distribution")
     clamped = float(-np.sum(eigs[eigs < 0.0]))
     lam = eigs[eigs > 0.0]
-    return float(-np.sum(lam * np.log(lam))), clamped
+    return 0.0 - float(np.sum(lam * np.log(lam))), clamped   # exactly -x, but +0.0 at x = 0
 
 
 def shannon_entropy(p) -> float:

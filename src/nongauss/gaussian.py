@@ -16,7 +16,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .config import tolerances
+from . import config
 from .errors import ArgumentError, NumericalValidityError, TruncationError
 from .fock import DensityMatrix, FockStateVector, State
 
@@ -50,7 +50,7 @@ class GaussianData:
         if not np.all(np.isfinite(X)):
             raise NumericalValidityError(f"first moments are not finite: {X}")
         asym = float(np.max(np.abs(sigma - sigma.T)))
-        if not asym <= tolerances().herm:   # NaN fails the check
+        if not asym <= config.HERM:   # NaN fails the check
             raise NumericalValidityError(f"sigma is not symmetric (residue {asym:.3e})")
 
     @property
@@ -70,7 +70,7 @@ class SingleModeGaussianParams:
     def __post_init__(self):
         if self.r < 0:
             raise ArgumentError("squeezing magnitude r must be >= 0")
-        if self.n_th < -tolerances().eig:
+        if self.n_th < -config.EIG:
             raise ArgumentError("thermal photon number must be >= 0")
 
     def energy(self) -> float:
@@ -122,11 +122,10 @@ def _pad_tensor(t: np.ndarray, pad: int) -> np.ndarray:
 
 
 def _refuse_leaking(state: State) -> None:
-    """TruncationError for a state whose leakage passes leak_max."""
-    leak_max = tolerances().leak_max
-    if state.leakage > leak_max:
+    """TruncationError for a state whose leakage passes config.LEAK_MAX."""
+    if state.leakage > config.LEAK_MAX:
         raise TruncationError(
-            f"state leakage {state.leakage:.3e} exceeds leak_max {leak_max:.1e}; "
+            f"state leakage {state.leakage:.3e} exceeds leak_max {config.LEAK_MAX:.1e}; "
             "moments of a leaking state are untrustworthy")
 
 
@@ -180,8 +179,7 @@ def moments(state: State) -> GaussianData:
 
 def h(x: float) -> float:
     """(x+1/2)log(x+1/2) - (x-1/2)log(x-1/2), the Gaussian entropy kernel."""
-    tol = tolerances()
-    if x < 0.5 - tol.symp:
+    if x < 0.5 - config.SYMP:
         raise NumericalValidityError(f"h(x) requires x >= 1/2, got {x}")
     if x <= 0.5:
         return 0.0
@@ -192,7 +190,6 @@ def h(x: float) -> float:
 def symplectic_eigenvalues(g: GaussianData) -> np.ndarray:
     """Ascending symplectic eigenvalues d_k, one per mode, of a 1- or 2-mode CM:
     sqrt(det sigma) for one mode, the local symplectic invariants for two."""
-    tol = tolerances()
     if g.modes == 1:
         det = float(np.linalg.det(g.sigma))
         if det < 0:
@@ -206,20 +203,20 @@ def symplectic_eigenvalues(g: GaussianData) -> np.ndarray:
         i4 = float(np.linalg.det(s))
         delta = i1 + i2 + 2 * i3
         disc = delta * delta - 4 * i4
-        if disc < -tol.symp * max(1.0, delta * delta):
+        if disc < -config.SYMP * max(1.0, delta * delta):
             raise NumericalValidityError(
                 f"invalid two-mode CM: discriminant {disc:.3e} is negative")
         disc = max(disc, 0.0)
         hi = (delta + math.sqrt(disc)) / 2
         lo = (delta - math.sqrt(disc)) / 2
         if lo < 0:
-            if lo < -tol.symp * max(1.0, delta):
+            if lo < -config.SYMP * max(1.0, delta):
                 raise NumericalValidityError("invalid two-mode CM: negative d_-^2")
             lo = 0.0
         d = np.array([math.sqrt(lo), math.sqrt(hi)])
     else:
         raise ArgumentError("symplectic spectrum implemented for 1- and 2-mode CMs")
-    if not d[0] >= 0.5 - tol.symp:   # NaN fails the check
+    if not d[0] >= 0.5 - config.SYMP:   # NaN fails the check
         raise NumericalValidityError(
             f"symplectic eigenvalue {d[0]} violates the uncertainty bound 1/2")
     return d
@@ -238,10 +235,9 @@ def fit_single_mode_gaussian(g: GaussianData) -> SingleModeGaussianParams:
     """Invert (alpha, r, phi, n_th) from a single-mode (X, sigma)."""
     if g.modes != 1:
         raise ArgumentError("fit is defined for single-mode Gaussian data")
-    tol = tolerances()
     s11, s22, s12 = g.sigma[0, 0], g.sigma[1, 1], g.sigma[0, 1]
     det = s11 * s22 - s12 * s12
-    if det < 0.25 - tol.symp:
+    if det < 0.25 - config.SYMP:
         raise NumericalValidityError(f"unphysical CM: det sigma = {det} < 1/4")
     d = math.sqrt(max(det, 0.25))
     n_th = max(d - 0.5, 0.0)
@@ -369,7 +365,7 @@ def reference_gaussian_state(rho: State) -> DensityMatrix:
     """The Gaussian state with the same first and second moments, in the Fock basis.
 
     The contract is strict: the cropped state must reproduce the target moments
-    componentwise within tol_ref, otherwise the cutoff is declared inadequate.
+    componentwise within config.REF_MOMENT, otherwise the cutoff is declared inadequate.
     """
     if rho.modes != 1:
         raise ArgumentError("reference-state synthesis is single-mode only")
@@ -379,7 +375,7 @@ def reference_gaussian_state(rho: State) -> DensityMatrix:
     g_tau = moments(DensityMatrix(1, rho.cutoff, tau.matrix))  # leakage reset: cropped by design
     resid = max(float(np.max(np.abs(g_tau.X - g.X))),
                 float(np.max(np.abs(g_tau.sigma - g.sigma))))
-    if resid > tolerances().ref_moment:
+    if resid > config.REF_MOMENT:
         raise TruncationError(
             f"reference Gaussian moment mismatch {resid:.3e}; increase the cutoff "
             f"(suggested >= {rho.cutoff + max(10, int(4 * params.energy()))})")

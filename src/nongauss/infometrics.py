@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import tolerances
+from . import config
 from .errors import ArgumentError, NumericalValidityError
 from .fock import (DensityMatrix, FockStateVector, State, as_density,
                    partial_trace, von_neumann_entropy)
@@ -40,7 +40,7 @@ class Ensemble:
         if not self.entries:
             raise ArgumentError("ensemble must be nonempty")
         total = sum(p for p, _ in self.entries)
-        if not abs(total - 1.0) <= tolerances().norm:   # NaN fails these checks
+        if not abs(total - 1.0) <= config.NORM:   # NaN fails these checks
             raise ArgumentError(f"ensemble probabilities sum to {total}, not 1")
         dims = {(s.modes, s.cutoff) for _, s in self.entries}
         if len(dims) != 1:
@@ -169,9 +169,8 @@ class StateFamily:
             raise ArgumentError("derivative shape must match the state")
         if not np.all(np.isfinite(d)):
             raise ArgumentError("derivative has a non-finite entry")
-        tol = tolerances()
         herm = float(np.max(np.abs(d - d.conj().T)))
-        if not herm <= tol.herm * max(1.0, float(np.max(np.abs(d)))):
+        if not herm <= config.HERM * max(1.0, float(np.max(np.abs(d)))):
             raise ArgumentError(f"derivative must be Hermitian (residue {herm:.3e})")
         tr = abs(complex(np.trace(d)))
         if not tr <= 1e-10 * max(1.0, float(np.max(np.abs(d)))):

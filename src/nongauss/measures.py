@@ -383,7 +383,7 @@ def ng_of_map(channel: ChannelSpec, energy_cap: float = 4.0, cutoff: int = 30,
         raise ArgumentError("ng_of_map probes one mode; a beam splitter acts on two")
     if not 0 <= energy_cap < math.inf:
         raise ArgumentError(f"energy_cap = {energy_cap} must be finite and >= 0")
-    if budget < 1 or cutoff < 1:
+    if _integer(budget, "budget") < 1 or _integer(cutoff, "cutoff") < 1:
         raise ArgumentError(f"budget = {budget} and cutoff = {cutoff} must be >= 1")
     if channel.is_gaussian:
         return MeasureReport(0.0, {"evaluations": 0.0, "cutoff_used": cutoff,

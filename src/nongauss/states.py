@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import tolerances
+from . import config
 from .errors import ArgumentError, TruncationError
 from .fock import (DensityMatrix, FockStateVector, _check_dense_dim, _integer,
                    _log_factorials, shannon_entropy)
@@ -34,9 +34,9 @@ def _check_finite(cutoff: int, **params) -> None:
 def _crop(levels, total: float, cutoff: int, what: str, weigh=lambda v: np.abs(v) ** 2):
     """levels(cutoff), the first levels of a profile (amplitudes, or weights with
     `weigh` the identity; zero past a finite profile's end) whose weights sum to
-    `total`, and the mass they drop, max(1 - kept / total, 0).  A drop above tail_tol
+    `total`, and the mass they drop, max(1 - kept / total, 0).  A drop above TAIL
     is a TruncationError naming the minimal cutoff, read off levels(n) to _SCAN_MAX."""
-    kept, tail = levels(cutoff), tolerances().tail
+    kept, tail = levels(cutoff), config.TAIL
     if kept.size < cutoff:
         kept = np.concatenate([kept, np.zeros(cutoff - kept.size)])
     leak = max(1.0 - float(np.sum(weigh(kept))) / total, 0.0)
@@ -204,9 +204,16 @@ def poisson(lam: float, cutoff: int) -> DensityMatrix:
                   1.0, cutoff, f"poisson({lam})", pure=False)
 
 
+def _finite_weights(weights) -> np.ndarray:
+    q = np.asarray(weights, dtype=float).ravel()
+    if not np.isfinite(q).all():
+        raise ArgumentError("Fock-diagonal weights must be finite")
+    return q
+
+
 def delta_a_diagonal(weights) -> float:
     """Closed-form HS non-Gaussianity of a Fock-diagonal state."""
-    q = np.asarray(weights, dtype=float).ravel()
+    q = _finite_weights(weights)
     nbar = float(np.dot(np.arange(q.size), q))
     tau = thermal_weights(nbar, q.size)
     # sum tau_n^2 over all n has the exact value 1/(2 nbar + 1)
@@ -216,7 +223,7 @@ def delta_a_diagonal(weights) -> float:
 
 def delta_b_diagonal(weights) -> float:
     """Closed-form QRE non-Gaussianity of a Fock-diagonal state."""
-    q = np.asarray(weights, dtype=float).ravel()
+    q = _finite_weights(weights)
     nbar = float(np.dot(np.arange(q.size), q))
     return h(nbar + 0.5) - shannon_entropy(q)
 

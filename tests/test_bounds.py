@@ -142,6 +142,13 @@ def test_thermal_reference_check_reads_both_moments():
         epsilon_c(coherent(0.5, 40), 0.7)
 
 
+@pytest.mark.parametrize("rows", [[(1.5, 3), (0, 1)], [(math.nan, 1)], [("1", 1)]],
+                         ids=["m-fractional", "m-nan", "m-string"])
+def test_histogram_photon_numbers_must_be_integers(rows):
+    with pytest.raises(ArgumentError, match="photon number m must be an integer"):
+        histogram_to_distribution(rows)
+
+
 def test_nan_weights_are_argument_errors():
     with pytest.raises(ArgumentError):
         epsilon_a([math.nan, 1.0])

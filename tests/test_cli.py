@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import nongauss
-from nongauss import config
 from nongauss.cli import main, parse_channel, parse_state
 from nongauss.errors import ArgumentError, TruncationError
 from nongauss.fock import DensityMatrix, FockStateVector
@@ -208,7 +207,7 @@ def test_config_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ["log_base=10\n", "cutoff=abc\n",
-                                  "tolerance_profile=bogus\n", "no_such_key=1\n", None],
+                                  "tolerance_profile=strict\n", "no_such_key=1\n", None],
                          ids=["log-base", "cutoff", "profile", "unknown-key", "missing-file"])
 def test_bad_config_file_exits_2(tmp_path, capsys, text):
     cfg = tmp_path / "bad.cfg"
@@ -341,13 +340,21 @@ def test_non_finite_option_is_a_usage_error(capsys):
     assert "invalid finite_float value: 'nan'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", [["--tolerance-profile", "strict"],
+                                    ["--tolerance-profile=strict"]], ids=["spaced", "joined"])
+def test_tolerance_profile_is_a_usage_error(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main([*option, "measure", "deltaB", "--state", "fock:1"])
+    assert exc.value.code == 2
+    assert "error: " in capsys.readouterr().err
+
+
 def test_main_leaves_global_state_alone(capsys):
-    before, rng = config.tolerances(), np.random.get_state()
+    rng = np.random.get_state()
     for argv, expected in ((["measure", "deltaB", "--state", "fock:1"], 0),
                            (["measure", "deltaB", "--state", "nope:1"], 2)):
-        code, _, _ = run(capsys, "--tolerance-profile", "loose", *argv)
+        code, _, _ = run(capsys, *argv)
         assert code == expected
-        assert config.tolerances() is before
     after = np.random.get_state()
     assert after[0] == rng[0] and np.array_equal(after[1], rng[1]) and after[2:] == rng[2:]
 

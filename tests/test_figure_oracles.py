@@ -129,3 +129,8 @@ def test_fig7_lossy_fock_cells_match_the_binomial_closed_form():
             assert abs(row["delta_A"] - want_a) <= 1e-10, row
             assert abs(row["delta_B"] - want_b) <= 1e-10, row
 
+
+def test_a_worker_pool_keeps_the_rows_and_their_order():
+    _, header, rows = figures.build_figure(3, threads=1)
+    _, pooled_header, pooled = figures.build_figure(3, threads=3)
+    assert pooled_header == header and pooled == rows

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from nongauss import (ArgumentError, DensityMatrix, FockStateVector,
                       NumericalValidityError, TruncationError, moments, overlap,
                       partial_trace, partial_transpose, purity,
                       random_density_matrix, tensor, von_neumann_entropy)
-from nongauss.config import tolerances
+from nongauss import config
 from nongauss.fock import _entropy_and_clamp, _log_factorials, shannon_entropy
 from nongauss.states import fock, thermal, vacuum
 
@@ -185,7 +186,7 @@ def _clip_and_mask_shannon(p) -> float:
 def test_shannon_entropy_matches_its_clip_and_mask_body():
     # bit for bit, also with zeros and with noise entries in (-tol_eig, 0)
     rng = np.random.default_rng(28)
-    tol = tolerances().eig
+    tol = config.EIG
     for size in (1, 2, 7, 40, 300):
         for _ in range(25):
             p = rng.dirichlet(np.ones(size) * rng.uniform(0.05, 2.0))
@@ -196,6 +197,20 @@ def test_shannon_entropy_matches_its_clip_and_mask_body():
             assert shannon_entropy(list(p)) == _clip_and_mask_shannon(p)
     with pytest.raises(NumericalValidityError, match="below -tol_eig"):
         shannon_entropy([1.0 + 2 * tol, -2 * tol])
+
+
+@pytest.mark.parametrize("p", [[1.0], [0.0, 1.0, 0.0], [1.0, -0.5 * config.EIG], []],
+                         ids=["point", "point-among-zeros", "point-with-noise", "empty"])
+def test_shannon_entropy_of_a_point_mass_is_positive_zero(p):
+    value = shannon_entropy(p)
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+@pytest.mark.parametrize("p", [[math.nan, 1.0], [0.5, 0.5, math.nan], [math.nan]],
+                         ids=["nan-first", "nan-last", "nan-only"])
+def test_shannon_entropy_refuses_nan_entries(p):
+    with pytest.raises(NumericalValidityError):
+        shannon_entropy(p)
 
 
 def test_unitary_invariance():

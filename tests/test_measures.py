@@ -373,8 +373,9 @@ def test_gaussian_channels_have_zero_map_non_gaussianity():
 
 @pytest.mark.parametrize("kwargs", [
     {"energy_cap": float("nan")}, {"energy_cap": -1.0}, {"energy_cap": float("inf")},
-    {"budget": 0}, {"cutoff": 0}], ids=["cap-nan", "cap-negative", "cap-inf", "budget-0",
-                                        "cutoff-0"])
+    {"budget": 0}, {"cutoff": 0}, {"budget": float("nan")}, {"budget": 2.5},
+    {"cutoff": 2.5}], ids=["cap-nan", "cap-negative", "cap-inf", "budget-0", "cutoff-0",
+                           "budget-nan", "budget-fractional", "cutoff-fractional"])
 def test_ng_of_map_rejects_invalid_arguments(kwargs):
     # checked before the Gaussian-channel early return
     for spec in (ChannelSpec.loss(0.6), ChannelSpec.kerr(0.1)):

@@ -7,10 +7,9 @@ import pytest
 from scipy.special import gammaln, i0
 
 from nongauss import (ArgumentError, DensityMatrix, FockStateVector, PhotodetectionPOVM,
-                      ResourceError, Tolerances, TruncationError, delta_b, moments,
+                      ResourceError, TruncationError, delta_b, moments,
                       partial_trace, random_density_matrix, von_neumann_entropy)
-from nongauss import states
-from nongauss.config import using
+from nongauss import config, states
 from nongauss.distillation import b_protocol_iterates, browne_state
 from nongauss.fock import state_from_json
 from nongauss.measures import conjecture_a5_sweep
@@ -330,16 +329,16 @@ def test_pasv_starts_at_one():
     lambda: browne_state("a", 0.5, 20),
     lambda: random_density_matrix(1, 400, 1, seed=0),
 ], ids=["thermal", "diagonal_mixture", "poisson", "browne_state", "random_density_matrix"])
-def test_dense_constructors_check_the_cap_before_they_allocate(build):
+def test_dense_constructors_check_the_cap_before_they_allocate(build, monkeypatch):
     # each state is a 400 x 400 complex matrix (2.6 MB) above a cap of 16
-    with using(Tolerances(max_dense_dim=16)):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceError):
-                build()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    monkeypatch.setattr(config, "MAX_DENSE_DIM", 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 1 << 20
 
 
@@ -361,10 +360,12 @@ def test_dense_constructors_check_the_cap_before_they_allocate(build):
     lambda: poisson(math.inf, 10),
     lambda: vacuum(0),
     lambda: diagonal_mixture([1.0], 0),
+    lambda: delta_a_diagonal([0.5, math.nan, 0.5]),
+    lambda: delta_b_diagonal([0.5, math.nan, 0.5]),
 ], ids=["mixture-first", "mixture-middle", "thermal", "poisson", "coherent-nan", "coherent-inf",
         "squeezed-nan", "squeezed-phase-nan", "cat-nan", "cat-phase-nan", "cat-zero-norm",
         "tmc-nan", "tmc-inf", "thermal-inf", "poisson-inf", "vacuum-no-levels",
-        "mixture-no-levels"])
+        "mixture-no-levels", "delta-a-diagonal-nan", "delta-b-diagonal-nan"])
 def test_nan_arguments_are_argument_errors(build):
     # raised before any level is built: the peak stays below one 4096-level window
     tracemalloc.start()
