@@ -16,9 +16,9 @@ from .channels import (ChannelSpec, apply_channel, beam_split, displace, kerr,
                        loss, phase_diffusion, squeeze)
 from .measures import (QuadratureGrid, check_measure_inequality,
                        conjecture_a5_sweep, delta_a, delta_b, delta_c, ng_of_map)
-from .distillation import (ProtocolTrace, b_protocol_iterates, b_protocol_run,
-                           b_protocol_step, browne_state, log_negativity,
-                           max_two_mode_ng, renormalized_ng, t_protocol_output)
+from .distillation import (b_protocol_iterates, b_protocol_run, b_protocol_step,
+                           browne_state, log_negativity, max_two_mode_ng,
+                           renormalized_ng, t_protocol_output)
 from .infometrics import (Ensemble, StateFamily, conditional_entropy,
                           conditional_entropy_gap, gaussian_conditional_entropy,
                           gaussian_mutual_information, holevo_chi,

@@ -70,9 +70,11 @@ def detection_statistics(rho: State, povm: PhotodetectionPOVM) -> np.ndarray:
 
 def histogram_to_distribution(rows) -> np.ndarray:
     """Normalize measured (m, count) rows into a dense q_m vector."""
-    rows = [(_integer(m, "photon number m"), float(c)) for m, c in rows]
+    rows = [(_integer(m, "photon number m"), np.asarray(c)) for m, c in rows]
     if not rows:
         raise ArgumentError("empty histogram")
+    if any(c.shape != () or c.dtype.kind not in "biuf" for _, c in rows):   # not text or None
+        raise ArgumentError("histogram counts must be real numbers")
     if any(m < 0 or not c >= 0 for m, c in rows):   # NaN fails this check
         raise ArgumentError("histogram entries must be non-negative")
     size = max(m for m, _ in rows) + 1

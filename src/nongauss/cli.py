@@ -98,13 +98,20 @@ def _bind(fn, name: str, args: list, supplied: tuple) -> dict:
     return kwargs
 
 
-def _family_state(name: str, args: list, cutoff: int):
+def _family_state(name: str, args: list, cutoff: int | None):
     fn = getattr(states, _FAMILIES[name])
-    return fn(**_bind(fn, name, args, _STATE_SUPPLIED), cutoff=cutoff)
+    return fn(**_bind(fn, name, args, _STATE_SUPPLIED),
+              cutoff=DEFAULT_CUTOFF if cutoff is None else cutoff)
 
 
-def parse_state(spec: str, cutoff: int):
-    """A state from the CLI syntax STATE_SYNTAX."""
+def _browne(variant: str, lam: float, cutoff: int | None):
+    """browne_state at `cutoff`, or at browne_state's own default without one."""
+    return browne_state(variant, lam) if cutoff is None else browne_state(variant, lam, cutoff)
+
+
+def parse_state(spec: str, cutoff: int | None):
+    """A state from the CLI syntax STATE_SYNTAX, at `cutoff` levels per mode;
+    None is browne_state's default for browne and DEFAULT_CUTOFF for the rest."""
     if spec.startswith("@") or spec.endswith(".json"):
         path = Path(spec.lstrip("@"))
         if not path.exists():
@@ -116,10 +123,11 @@ def parse_state(spec: str, cutoff: int):
             return _family_state(name, rest.split(",") if rest else [], cutoff)
         if name == "pnes":
             family, _, param = rest.partition(":")
-            return pnes(PNESSpec(family, finite_float(param), cutoff))
+            return pnes(PNESSpec(family, finite_float(param),
+                                 DEFAULT_CUTOFF if cutoff is None else cutoff))
         if name == "browne":
             variant, _, lam = rest.partition(":")
-            return browne_state(variant, finite_float(lam), min(cutoff, 8))
+            return _browne(variant, finite_float(lam), cutoff)
     except (IndexError, ValueError) as exc:
         raise ArgumentError(f"malformed state spec {spec!r}: {exc}") from None
     raise ArgumentError(f"unknown state family {name!r}")
@@ -173,7 +181,7 @@ def _write_text(text: str, out: str | None) -> None:
 def _format_cell(v) -> str:
     if isinstance(v, float):
         return f"{v:.12g}"
-    return str(v)
+    return "NA" if v is None else str(v)
 
 
 def _in_log_base(nats: float, args) -> float:
@@ -243,13 +251,18 @@ def cmd_channel(args) -> int:
     return 0
 
 
-def cmd_protocol(args) -> int:
-    if args.which == "browne":
-        state = browne_state(args.variant, args.lam, args.protocol_cutoff)
-        budget = None if args.leak_budget in (None, "none") else finite_float(args.leak_budget)
-        trace = b_protocol_run(state, args.steps, leak_budget=budget)
-        _write_text(trace.to_csv(), args.out)
-        return 0
+def cmd_browne(args) -> int:
+    state = _browne(args.variant, args.lam, args.cutoff)
+    budget = None if args.leak_budget == "none" else finite_float(args.leak_budget)
+    steps = b_protocol_run(state, args.steps, leak_budget=budget)
+    meta = {"protocol": "browne", "variant": args.variant, "lam": args.lam,
+            "steps": args.steps, "cutoff": state.cutoff, "leak_budget": budget}
+    rows = [list(step.values()) for step in steps]   # keyed in column order
+    _write_text(_csv_text(meta, list(steps[0]), rows), args.out)
+    return 0
+
+
+def cmd_taka(args) -> int:
     psi = t_protocol_output(args.r, args.subtracted)
     meta = {"protocol": "taka", "r": args.r, "subtracted": args.subtracted,
             "cutoff": psi.cutoff}
@@ -361,7 +374,8 @@ def _common_options() -> argparse.ArgumentParser:
     # accepted both before and after the subcommand; SUPPRESS keeps a value
     # set at one position from being clobbered by the other's default
     c = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    c.add_argument("--cutoff", type=int, help="per-mode Fock cutoff")
+    c.add_argument("--cutoff", type=int, help=f"per-mode Fock cutoff (default: "
+                   f"{DEFAULT_CUTOFF}; 8 for browne specs and protocol browne)")
     c.add_argument("--log-base", choices=["nat", "2"],
                    help="log base (default: natural) of the entropies reported by "
                         "measure deltaB/deltaC, bound, sweep deltaB/deltaC and "
@@ -407,16 +421,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_channel)
 
     sp = sub.add_parser("protocol", help="run a distillation protocol", parents=[common])
-    sp.add_argument("which", choices=["browne", "taka"])
-    sp.add_argument("--variant", choices=["a", "b"], default="a")
-    sp.add_argument("--lam", type=finite_float, default=0.5)
-    sp.add_argument("--steps", type=int, default=10)
-    sp.add_argument("--protocol-cutoff", type=int, default=8)
-    sp.add_argument("--leak-budget", default="none",
+    protocols = sp.add_subparsers(dest="which", required=True)
+    pp = protocols.add_parser("browne", parents=[common], help="the B protocol on browne:V:LAM")
+    pp.add_argument("--variant", choices=["a", "b"], default="a")
+    pp.add_argument("--lam", type=finite_float, default=0.5)
+    pp.add_argument("--steps", type=int, default=10)
+    pp.add_argument("--leak-budget", default="none",
                     help="accumulated leakage budget, or 'none'")
-    sp.add_argument("--r", type=finite_float, default=0.8)
-    sp.add_argument("--subtracted", choices=["one", "two"], default="one")
-    sp.set_defaults(fn=cmd_protocol)
+    pp.set_defaults(fn=cmd_browne)
+    pp = protocols.add_parser("taka", parents=[common], help="the T protocol (photon subtraction)")
+    pp.add_argument("--r", type=finite_float, default=0.8)
+    pp.add_argument("--subtracted", choices=["one", "two"], default="one")
+    pp.set_defaults(fn=cmd_taka)
 
     sp = sub.add_parser("bound", help="measurable lower bounds A..E", parents=[common])
     sp.add_argument("which", choices=list("ABCDE") + list("abcde"))
@@ -439,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_GLOBAL_DEFAULTS = {"cutoff": DEFAULT_CUTOFF, "log_base": "nat", "seed": 0,
+# no --cutoff: browne specs and protocol browne take browne_state's own default
+_GLOBAL_DEFAULTS = {"cutoff": None, "log_base": "nat", "seed": 0,
                     "threads": 1, "out": None, "json_errors": False}
 
 

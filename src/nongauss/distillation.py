@@ -4,9 +4,7 @@ the renormalized non-Gaussianity."""
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,29 +18,10 @@ from .measures import delta_b
 from .states import _squeezed_vacuum_amplitudes
 
 __all__ = [
-    "ProtocolTrace", "browne_state",
-    "b_protocol_step", "b_protocol_iterates", "b_protocol_run", "entanglement_gain",
-    "iterate_delta_b", "log_negativity", "max_two_mode_ng", "renormalized_ng",
-    "t_protocol_output",
+    "browne_state", "b_protocol_step", "b_protocol_iterates", "b_protocol_run",
+    "entanglement_gain", "iterate_delta_b", "log_negativity", "max_two_mode_ng",
+    "renormalized_ng", "t_protocol_output",
 ]
-
-
-@dataclass(frozen=True)
-class ProtocolTrace:
-    """Per-step protocol record: success probability, delta_B, E_N, relative
-    entanglement gain and accumulated leakage."""
-
-    steps: tuple
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("step,success_prob,delta_B,E_N,Delta_i,leakage\n")
-        for row in self.steps:
-            gain = "NA" if row["Delta_i"] is None else f"{row['Delta_i']:.12g}"
-            buf.write(f"{row['step']},{row['success_prob']:.12g},"
-                      f"{row['delta_B']:.12g},{row['E_N']:.12g},"
-                      f"{gain},{row['leakage']:.12g}\n")
-        return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +179,10 @@ def entanglement_gain(en: float, en0: float) -> float | None:
     return (en - en0) / en0 if en0 > 1e-12 else None
 
 
-def b_protocol_run(state, steps: int, leak_budget: float | None = 1e-4) -> ProtocolTrace:
-    """Iterate the protocol and measure every step: delta_B (``iterate_delta_b``),
-    E_N, the relative gain Delta_i (``entanglement_gain``) and the leakage.
+def b_protocol_run(state, steps: int, leak_budget: float | None = 1e-4) -> list:
+    """Iterate the protocol and measure every step: one dict per step, 0 ...
+    ``steps``, of its success probability, delta_B (``iterate_delta_b``), E_N,
+    the relative gain Delta_i (``entanglement_gain``) and the leakage.
 
     The iterates and the ``leak_budget`` gate are ``b_protocol_iterates``'s;
     callers that read only some of these columns or steps (figures 9 and 10)
@@ -215,7 +195,7 @@ def b_protocol_run(state, steps: int, leak_budget: float | None = 1e-4) -> Proto
         rows.append({"step": i, "success_prob": prob, "delta_B": iterate_delta_b(it),
                      "E_N": en, "Delta_i": entanglement_gain(en, en0),
                      "leakage": it.leakage})
-    return ProtocolTrace(tuple(rows))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +294,9 @@ def t_protocol_output(r: float, subtracted: str = "one") -> FockStateVector:
     """
     if not (math.isfinite(r) and r > 0):
         raise ArgumentError("squeezing r must be finite and > 0")
-    if subtracted in ("one", "1", 1):
-        n = 1
-    elif subtracted in ("two", "2", 2):
-        n = 2
-    else:
+    if subtracted not in ("one", "two"):
         raise ArgumentError("subtracted must be 'one' or 'two'")
+    n = 1 if subtracted == "one" else 2
     d = _suggest_subtraction_cutoff(r)
     sv = _squeezed_vacuum_amplitudes(r, 0.0, d)
 

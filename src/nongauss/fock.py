@@ -305,9 +305,10 @@ def _entropy_of_spectrum(eigs: np.ndarray) -> tuple[float, float]:
         raise NumericalValidityError(
             f"entry {lo:.3e} is NaN or below -tol_eig; not a numerically positive spectrum or "
             "distribution")
-    clamped = float(-np.sum(eigs[eigs < 0.0]))
+    # 0.0 - x is exactly -x, but +0.0, not -0.0, at x = 0
+    clamped = 0.0 - float(np.sum(eigs[eigs < 0.0]))
     lam = eigs[eigs > 0.0]
-    return 0.0 - float(np.sum(lam * np.log(lam))), clamped   # exactly -x, but +0.0 at x = 0
+    return 0.0 - float(np.sum(lam * np.log(lam))), clamped
 
 
 def shannon_entropy(p) -> float:

@@ -131,6 +131,10 @@ def test_histogram_entry_point():
         histogram_to_distribution([])
     with pytest.raises(ArgumentError):
         histogram_to_distribution([(0, -3)])
+    # counts must be real numbers, not text or None, even text a number parses from
+    for rows in ([(0, "x")], [(0, None)], [(0, "3"), (1, 1)]):
+        with pytest.raises(ArgumentError, match="counts must be real numbers"):
+            histogram_to_distribution(rows)
 
 
 def test_thermal_reference_check_reads_both_moments():

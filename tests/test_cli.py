@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import nongauss
 from nongauss.cli import main, parse_channel, parse_state
+from nongauss.distillation import b_protocol_run, browne_state
 from nongauss.errors import ArgumentError, TruncationError
 from nongauss.fock import DensityMatrix, FockStateVector
 
@@ -108,11 +110,65 @@ def test_protocol_csv(tmp_path, capsys):
                      "--lam", "0.5", "--steps", "3", "--out", str(out))
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "step,success_prob,delta_B,E_N,Delta_i,leakage"
-    assert len(lines) == 5
+    assert json.loads(lines[0][2:]) == {"protocol": "browne", "variant": "a", "lam": 0.5,
+                                        "steps": 3, "cutoff": 8, "leak_budget": None}
+    assert lines[1] == "step,success_prob,delta_B,E_N,Delta_i,leakage"
+    assert len(lines) == 6
     code, out_text, _ = run(capsys, "protocol", "taka", "--r", "0.5",
                             "--subtracted", "one")
     assert code == 0 and "delta_B" in out_text
+
+
+def _protocol_trace_csv(steps) -> str:
+    """The browne CSV body as the removed ``ProtocolTrace.to_csv`` wrote it: the
+    reference for protocol browne's lines after its metadata line."""
+    buf = io.StringIO()
+    buf.write("step,success_prob,delta_B,E_N,Delta_i,leakage\n")
+    for row in steps:
+        gain = "NA" if row["Delta_i"] is None else f"{row['Delta_i']:.12g}"
+        buf.write(f"{row['step']},{row['success_prob']:.12g},"
+                  f"{row['delta_B']:.12g},{row['E_N']:.12g},"
+                  f"{gain},{row['leakage']:.12g}\n")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("variant, lam, steps", [("b", 0.5, 3), ("a", 0.5, 2), ("a", 0.0, 2)],
+                         ids=["b-0.5", "a-0.5", "a-0-NA"])
+def test_protocol_browne_body_is_the_trace_csv(capsys, variant, lam, steps):
+    code, out, _ = run(capsys, "protocol", "browne", "--variant", variant, "--lam", str(lam),
+                       "--steps", str(steps))
+    meta, body = out.split("\n", 1)
+    expect = _protocol_trace_csv(b_protocol_run(browne_state(variant, lam), steps,
+                                                leak_budget=None))
+    assert code == 0 and meta.startswith("# {") and body == expect
+    assert (",NA," in body.splitlines()[-1]) == (lam == 0.0)
+
+
+def test_one_cutoff_option_sets_browne_cutoffs(capsys):
+    for argv, cutoff in [((), 8), (("--cutoff", "6"), 6), (("--cutoff", "12"), 12)]:
+        code, printed, _ = run(capsys, "state", "inspect", "--state", "browne:a:0.5", *argv)
+        assert code == 0 and json.loads(printed)["cutoff"] == cutoff
+    assert parse_state("fock:1", None).cutoff == 40
+    assert parse_state("browne:b:0.5", None).cutoff == 8
+    code, out, _ = run(capsys, "protocol", "browne", "--cutoff", "6", "--steps", "1")
+    lines = out.splitlines()
+    assert code == 0 and json.loads(lines[0][2:])["cutoff"] == 6
+    assert "\n".join(lines[1:]) + "\n" == _protocol_trace_csv(
+        b_protocol_run(browne_state("a", 0.5, 6), 1, leak_budget=None))
+
+
+@pytest.mark.parametrize("argv", [
+    ["protocol", "browne", "--protocol-cutoff", "8"],
+    ["protocol", "taka", "--lam", "0.3"],
+    ["protocol", "browne", "--r", "2"],
+    ["protocol", "taka", "--steps", "2"],
+    ["protocol", "browne", "--subtracted", "two"],
+], ids=["protocol-cutoff", "taka-lam", "browne-r", "taka-steps", "browne-subtracted"])
+def test_a_flag_of_the_other_protocol_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_figure_csv_and_determinism(tmp_path, capsys):

@@ -137,9 +137,9 @@ def test_protocol_keeps_a_vectors_leakage():
     for state in (psi, psi.density()):
         _, start, _ = next(b_protocol_iterates(state, 1, leak_budget=None))
         assert start.leakage == psi.leakage
-    trace = b_protocol_run(psi, 1, leak_budget=None)
-    assert trace.steps[0]["leakage"] == psi.leakage
-    assert trace.steps[1]["leakage"] >= psi.leakage
+    steps = b_protocol_run(psi, 1, leak_budget=None)
+    assert steps[0]["leakage"] == psi.leakage
+    assert steps[1]["leakage"] >= psi.leakage
 
 
 def _figure_point(number, monkeypatch):
@@ -153,8 +153,8 @@ def _figure_point(number, monkeypatch):
 
 @pytest.mark.parametrize("lam", [0.05, 0.5])
 def test_fig9_point_equals_the_full_trace(lam, monkeypatch):
-    trace = b_protocol_run(browne_state("a", lam), 20, leak_budget=None)
-    expect = [[lam, s, trace.steps[s]["delta_B"], trace.steps[s]["leakage"]]
+    steps = b_protocol_run(browne_state("a", lam), 20, leak_budget=None)
+    expect = [[lam, s, steps[s]["delta_B"], steps[s]["leakage"]]
               for s in (0, 5, 10, 20)]
     assert _figure_point(9, monkeypatch)(lam) == expect
 
@@ -166,7 +166,7 @@ def test_fig10_point_equals_the_full_trace(lam, variant, monkeypatch):
     # trace must give the same cells, at both ends of the grid and inside it
     state = browne_state(variant, lam)
     dr = renormalized_ng(state)
-    gains = [r["Delta_i"] for r in b_protocol_run(state, 40, leak_budget=None).steps]
+    gains = [r["Delta_i"] for r in b_protocol_run(state, 40, leak_budget=None)]
     conv = next((s for s in range(2, 41) if abs(gains[s] - gains[s - 1]) < 1e-6), 40)
     expect = [[variant, lam, str(s), dr, gains[s]] for s in (1, 2, 5)]
     expect.append([variant, lam, "inf", dr, gains[conv]])
@@ -174,17 +174,17 @@ def test_fig10_point_equals_the_full_trace(lam, variant, monkeypatch):
 
 
 def test_b_protocol_run_records():
-    trace = b_protocol_run(browne_state("a", 0.5), 3)
-    assert [r["step"] for r in trace.steps] == [0, 1, 2, 3]
-    assert trace.steps[1]["Delta_i"] > 0  # entanglement increases
-    assert all(0 < r["success_prob"] <= 1 for r in trace.steps)
-    csv = trace.to_csv()
-    assert csv.splitlines()[0] == "step,success_prob,delta_B,E_N,Delta_i,leakage"
+    # protocol browne's CSV text, its header and NA cells, is tested in test_cli.py
+    steps = b_protocol_run(browne_state("a", 0.5), 3)
+    assert [r["step"] for r in steps] == [0, 1, 2, 3]
+    assert steps[1]["Delta_i"] > 0  # entanglement increases
+    assert all(0 < r["success_prob"] <= 1 for r in steps)
+    assert [list(r) for r in steps] == [["step", "success_prob", "delta_B", "E_N",
+                                         "Delta_i", "leakage"]] * 4
 
     # vacuum input: the gain is not applicable
-    trace = b_protocol_run(vacuum(8, modes=2), 1)
-    assert trace.steps[1]["Delta_i"] is None
-    assert ",NA," in trace.to_csv().splitlines()[-1]
+    steps = b_protocol_run(vacuum(8, modes=2), 1)
+    assert steps[1]["Delta_i"] is None
 
 
 def test_b_protocol_window_widens():
@@ -198,7 +198,7 @@ def test_b_protocol_window_widens():
             else:
                 run = b_protocol_run(browne_state("a", float(lam)), steps,
                                      leak_budget=None)
-                db = run.steps[-1]["delta_B"]
+                db = run[-1]["delta_B"]
             cnt += db <= 1e-2
         counts.append(cnt)
     assert counts[0] <= counts[1] <= counts[2] and counts[2] > counts[0]
@@ -232,6 +232,12 @@ def test_t_protocol():
         t_protocol_output(0.0, "one")
     with pytest.raises(ArgumentError):
         t_protocol_output(0.5, "three")
+
+
+@pytest.mark.parametrize("subtracted", [1, 2, "1", "2"], ids=["int-1", "int-2", "text-1", "text-2"])
+def test_t_protocol_takes_one_spelling(subtracted):
+    with pytest.raises(ArgumentError, match="subtracted must be 'one' or 'two'"):
+        t_protocol_output(0.5, subtracted)
 
 
 def test_t_protocol_entanglement_trends():

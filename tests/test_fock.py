@@ -9,8 +9,9 @@ from nongauss import (ArgumentError, DensityMatrix, FockStateVector,
                       NumericalValidityError, TruncationError, moments, overlap,
                       partial_trace, partial_transpose, purity,
                       random_density_matrix, tensor, von_neumann_entropy)
-from nongauss import config
-from nongauss.fock import _entropy_and_clamp, _log_factorials, shannon_entropy
+from nongauss import config, delta_b
+from nongauss.fock import (_entropy_and_clamp, _entropy_of_spectrum, _log_factorials,
+                           shannon_entropy)
 from nongauss.states import fock, thermal, vacuum
 
 
@@ -204,6 +205,14 @@ def test_shannon_entropy_matches_its_clip_and_mask_body():
 def test_shannon_entropy_of_a_point_mass_is_positive_zero(p):
     value = shannon_entropy(p)
     assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def test_nothing_clamped_reads_positive_zero():
+    # a spectrum with no negative entry clamps +0.0, not -0.0
+    rho = thermal(0.5, 30)
+    for clamped in (_entropy_and_clamp(rho)[1], _entropy_of_spectrum(np.array([0.25, 0.75]))[1],
+                    delta_b(rho).diagnostics["clamped_eigenvalue_mass"]):
+        assert clamped == 0.0 and math.copysign(1.0, clamped) == 1.0
 
 
 @pytest.mark.parametrize("p", [[math.nan, 1.0], [0.5, 0.5, math.nan], [math.nan]],
