@@ -9,6 +9,7 @@ machine-readable error object is printed to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -179,9 +180,7 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def _format_cell(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return "NA" if v is None else str(v)
+    return f"{v:.12g}" if isinstance(v, float) else "NA" if v is None else str(v)
 
 
 def _in_log_base(nats: float, args) -> float:
@@ -190,10 +189,8 @@ def _in_log_base(nats: float, args) -> float:
 
 
 def _csv_text(meta: dict, header: list, rows: list) -> str:
-    lines = ["# " + json.dumps(meta, sort_keys=True)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+    lines = ["# " + json.dumps(meta, sort_keys=True), ",".join(header)]
+    lines += [",".join(_format_cell(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -245,9 +242,7 @@ def cmd_measure(args) -> int:
 
 def cmd_channel(args) -> int:
     state = parse_state(args.state, args.cutoff)
-    spec = parse_channel(args.channel)
-    out_state = apply_channel(state, spec)
-    _write_text(out_state.to_json(), args.out)
+    _write_text(apply_channel(state, parse_channel(args.channel)).to_json(), args.out)
     return 0
 
 
@@ -370,107 +365,110 @@ def _config_args(path: str) -> list[str]:
     return args
 
 
-def _common_options() -> argparse.ArgumentParser:
-    # accepted both before and after the subcommand; SUPPRESS keeps a value
-    # set at one position from being clobbered by the other's default
-    c = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    c.add_argument("--cutoff", type=int, help=f"per-mode Fock cutoff (default: "
-                   f"{DEFAULT_CUTOFF}; 8 for browne specs and protocol browne)")
-    c.add_argument("--log-base", choices=["nat", "2"],
-                   help="log base (default: natural) of the entropies reported by "
-                        "measure deltaB/deltaC, bound, sweep deltaB/deltaC and "
-                        "protocol taka's delta_B; protocol browne and figure "
-                        "report nats, and E_N is always log2")
-    c.add_argument("--seed", type=int, help="random seed")
-    c.add_argument("--out", help="output path (default: stdout)")
-    c.add_argument("--threads", type=int, help="worker pool size")
-    c.add_argument("--config", help="key=value config file; flags win")
-    c.add_argument("--json-errors", action="store_true",
-                   help="emit machine-readable errors on stderr")
-    return c
-
-
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_options()
+    """The CLI's parser, built once: parsing leaves it as it was, and main fills a
+    fresh Namespace on each call."""
+    # one parent parser per common option; SUPPRESS keeps a value given before
+    # the sub-command from being clobbered by its default after it
+    common = {}
+    for flag, kwargs in {
+        "--cutoff": dict(type=int, help=f"per-mode Fock cutoff (default: {DEFAULT_CUTOFF}; "
+                                         "8 for browne specs and protocol browne)"),
+        "--log-base": dict(choices=["nat", "2"], help="log base (default: natural) of "
+                           "the reported entropies; E_N is always log2"),
+        "--seed": dict(type=int, help="random seed"),
+        "--threads": dict(type=int, help="worker pool size"),
+        "--out": dict(help="output path (default: stdout)"),
+        "--config": dict(help="key=value config file; flags win"),
+        "--json-errors": dict(action="store_true", help="emit machine-readable errors on stderr"),
+    }.items():
+        common[flag] = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+        common[flag].add_argument(flag, **kwargs)
+
+    def command(parent, name: str, summary: str, fn, *reads: str) -> argparse.ArgumentParser:
+        # a sub-command takes the common options it reads; each reads the last three
+        flags = reads + ("--out", "--config", "--json-errors")
+        sp = parent.add_parser(name, help=summary, parents=[common[flag] for flag in flags])
+        sp.set_defaults(fn=fn)
+        return sp
+
     p = argparse.ArgumentParser(
         prog="nongauss",
-        parents=[common],
+        parents=list(common.values()),
         description="Non-Gaussianity measures, channels, protocols and bounds "
-                    "for continuous-variable states in truncated Fock space.")
+                    "for continuous-variable states in truncated Fock space.",
+        epilog="Before the sub-command, and as config-file keys, every common option "
+               "is accepted; after it, a sub-command takes only those it reads.")
 
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("state", help="build or inspect a state", parents=[common])
+    sp = command(sub, "state", "build or inspect a state", cmd_state, "--cutoff")
     sp.add_argument("action", choices=["build", "inspect"])
     sp.add_argument("--state", required=True, help=STATE_SYNTAX)
-    sp.set_defaults(fn=cmd_state)
 
-    sp = sub.add_parser("measure", help="compute deltaA, deltaB or deltaC", parents=[common])
+    sp = command(sub, "measure", "compute deltaA, deltaB or deltaC", cmd_measure,
+                 "--cutoff", "--log-base")
     sp.add_argument("which", choices=["deltaA", "deltaB", "deltaC"])
     sp.add_argument("--state", required=True, help=STATE_SYNTAX)
     sp.add_argument("--grid-half-width", type=finite_float, default=None)
     sp.add_argument("--grid-spacing", type=finite_float, default=0.05)
     sp.add_argument("--grid-auto", choices=["covering"],
                     help="grid rule without --grid-half-width (the only one, and the default)")
-    sp.set_defaults(fn=cmd_measure)
 
-    sp = sub.add_parser("channel", help="apply a channel to a state", parents=[common])
+    sp = command(sub, "channel", "apply a channel to a state", cmd_channel, "--cutoff")
     sp.add_argument("apply", choices=["apply"])
     sp.add_argument("--channel", required=True, help=CHANNEL_SYNTAX)
     sp.add_argument("--state", required=True, help=STATE_SYNTAX)
-    sp.set_defaults(fn=cmd_channel)
 
-    sp = sub.add_parser("protocol", help="run a distillation protocol", parents=[common])
+    sp = command(sub, "protocol", "run a distillation protocol", None)   # each protocol sets fn
     protocols = sp.add_subparsers(dest="which", required=True)
-    pp = protocols.add_parser("browne", parents=[common], help="the B protocol on browne:V:LAM")
+    pp = command(protocols, "browne", "the B protocol on browne:V:LAM", cmd_browne, "--cutoff")
     pp.add_argument("--variant", choices=["a", "b"], default="a")
     pp.add_argument("--lam", type=finite_float, default=0.5)
     pp.add_argument("--steps", type=int, default=10)
     pp.add_argument("--leak-budget", default="none",
                     help="accumulated leakage budget, or 'none'")
-    pp.set_defaults(fn=cmd_browne)
-    pp = protocols.add_parser("taka", parents=[common], help="the T protocol (photon subtraction)")
+    pp = command(protocols, "taka", "the T protocol (photon subtraction)", cmd_taka,
+                 "--log-base")
     pp.add_argument("--r", type=finite_float, default=0.8)
     pp.add_argument("--subtracted", choices=["one", "two"], default="one")
-    pp.set_defaults(fn=cmd_taka)
 
-    sp = sub.add_parser("bound", help="measurable lower bounds A..E", parents=[common])
+    sp = command(sub, "bound", "measurable lower bounds A..E", cmd_bound,
+                 "--cutoff", "--log-base")
     sp.add_argument("which", choices=list("ABCDE") + list("abcde"))
     sp.add_argument("--state", default=None, help=STATE_SYNTAX)
     sp.add_argument("--hist", default=None, help="CSV of m,count rows (bound A)")
     sp.add_argument("--eta", type=finite_float, default=1.0)
-    sp.set_defaults(fn=cmd_bound)
 
-    sp = sub.add_parser("figure", help="emit a figure dataset as CSV", parents=[common])
+    sp = command(sub, "figure", "emit a figure dataset as CSV", cmd_figure,
+                 "--seed", "--threads")
     sp.add_argument("number", type=int)
-    sp.set_defaults(fn=cmd_figure)
 
-    sp = sub.add_parser("sweep", help="generic grid runner over a state family", parents=[common])
+    sp = command(sub, "sweep", "generic grid runner over a state family", cmd_sweep,
+                 "--cutoff", "--log-base", "--threads")
     sp.add_argument("--family", required=True, choices=list(_FAMILIES))
     sp.add_argument("--measure", choices=["deltaA", "deltaB", "deltaC"],
                     default="deltaB")
     sp.add_argument("--param", action="append", required=True,
                     help="name=value or name=lo:hi:count (repeatable)")
-    sp.set_defaults(fn=cmd_sweep)
     return p
 
 
 # no --cutoff: browne specs and protocol browne take browne_state's own default
-_GLOBAL_DEFAULTS = {"cutoff": None, "log_base": "nat", "seed": 0,
-                    "threads": 1, "out": None, "json_errors": False}
+_GLOBAL_DEFAULTS = {"cutoff": None, "log_base": "nat", "seed": 0, "threads": 1,
+                    "out": None, "config": None, "json_errors": False}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv, argparse.Namespace(**_GLOBAL_DEFAULTS))
     try:
-        if getattr(args, "config", None):
+        if args.config:
             # the file's settings go first, so flags on the command line win
-            args = parser.parse_args(_config_args(args.config) + argv)
-        for key, default in _GLOBAL_DEFAULTS.items():
-            if not hasattr(args, key):
-                setattr(args, key, default)
+            args = parser.parse_args(_config_args(args.config) + argv,
+                                     argparse.Namespace(**_GLOBAL_DEFAULTS))
         code = args.fn(args)
         sys.stdout.flush()   # a closed pipe fails here, not at interpreter exit
         return code
@@ -480,7 +478,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except NonGaussError as exc:
-        if getattr(args, "json_errors", False):
+        if args.json_errors:
             sys.stderr.write(json.dumps({
                 "error": type(exc).__name__, "message": str(exc),
                 "exit_code": exc.exit_code}) + "\n")

@@ -146,6 +146,8 @@ def b_protocol_iterates(state: State, steps: int, leak_budget: float | None = 1e
     """
     if _integer(steps, "steps") < 1:
         raise ArgumentError("steps must be >= 1")
+    if leak_budget is not None and not 0 <= leak_budget < math.inf:   # NaN fails this check
+        raise ArgumentError(f"leak_budget must be None or a finite real >= 0, got {leak_budget!r}")
     branches = _branches(state)
     if len(branches) == 1:
         state = FockStateVector(2, state.cutoff, branches[0][1], state.leakage)
@@ -221,6 +223,8 @@ def log_negativity(state) -> float:
 def max_two_mode_ng(total_photons: float) -> float:
     """Largest delta_B attainable by a two-mode state with N total photons."""
     n2 = total_photons / 2.0
+    if not math.isfinite(n2):
+        raise ArgumentError(f"total photon number must be finite, got {total_photons!r}")
     if n2 <= 0:
         return 0.0
     return 2.0 * ((1.0 + n2) * math.log(1.0 + n2) - n2 * math.log(n2))

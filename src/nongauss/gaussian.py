@@ -140,7 +140,6 @@ def moments(state: State) -> GaussianData:
         raise ArgumentError("moments are implemented for 1- and 2-mode states")
     _refuse_leaking(state)
 
-    n = 2 * state.modes
     if isinstance(state, FockStateVector):
         t = _pad_tensor(state.as_tensor(), 2)
         vecs = []
@@ -152,21 +151,14 @@ def moments(state: State) -> GaussianData:
             vecs.append(-1j * (av - cv) / np.sqrt(2))
         flat = t.ravel()
         X = np.array([np.real(np.vdot(flat, v.ravel())) for v in vecs])
-        E = np.empty((n, n), dtype=complex)
-        for k in range(n):
-            for j in range(n):
-                E[k, j] = np.vdot(vecs[k].ravel(), vecs[j].ravel())
+        E = np.array([[np.vdot(vk.ravel(), vj.ravel()) for vj in vecs] for vk in vecs])
     else:
         dp = state.cutoff + 2
         t = state.matrix.reshape((state.cutoff,) * (2 * state.modes))
         padded = _pad_tensor(t, 2).reshape(dp ** state.modes, dp ** state.modes)
         ops = _moment_operators(state.modes, dp)
         X = np.array([float(np.real(np.trace(padded @ op))) for op in ops])
-        E = np.empty((n, n), dtype=complex)
-        for k in range(n):
-            rk = ops[k] @ padded
-            for j in range(n):
-                E[k, j] = np.trace(rk @ ops[j])
+        E = np.array([[np.trace(rk @ op) for op in ops] for rk in (r @ padded for r in ops)])
 
     sigma = np.real(0.5 * (E + E.T)) - np.outer(X, X)
     sigma = 0.5 * (sigma + sigma.T)
@@ -181,6 +173,8 @@ def h(x: float) -> float:
     """(x+1/2)log(x+1/2) - (x-1/2)log(x-1/2), the Gaussian entropy kernel."""
     if x < 0.5 - config.SYMP:
         raise NumericalValidityError(f"h(x) requires x >= 1/2, got {x}")
+    if not x < math.inf:
+        raise ArgumentError(f"h(x) requires a finite x, got {x}")
     if x <= 0.5:
         return 0.0
     u, v = x + 0.5, x - 0.5
@@ -337,21 +331,24 @@ def gaussian_fock_block(params: SingleModeGaussianParams,
         raise NumericalValidityError(
             f"vacuum element e^{c:.1f} of the Gaussian {params} is not a normal double")
 
+    g0, g1 = gamma
     root = np.sqrt(np.arange(cutoff))
+    # the loop's own left-to-right products, so every row keeps its bits
+    a11, a01_root, a00_root = a[1, 1], a[0, 1] * root[1:], a[0, 0] * root
     tau = np.zeros((cutoff, cutoff), dtype=complex)
     tau[0, 0] = tau00
     for n in range(1, cutoff):
-        prev2 = a[1, 1] * root[n - 1] * tau[0, n - 2] if n >= 2 else 0.0
-        tau[0, n] = (gamma[1] * tau[0, n - 1] + prev2) / root[n]
+        prev2 = a11 * root[n - 1] * tau[0, n - 2] if n >= 2 else 0.0
+        tau[0, n] = (g1 * tau[0, n - 1] + prev2) / root[n]
+    row, term = np.empty((2, cutoff), dtype=complex)   # buffers, rewritten on each row
     for k in range(1, cutoff):
-        row = gamma[0] * tau[k - 1]
+        np.multiply(g0, tau[k - 1], out=row)
         if k >= 2:
-            row += a[0, 0] * root[k - 1] * tau[k - 2]
-        row[1:] += a[0, 1] * root[1:] * tau[k - 1, :-1]
-        tau[k] = row / root[k]
+            row += np.multiply(a00_root[k - 1], tau[k - 2], out=term)
+        row[1:] += np.multiply(a01_root, tau[k - 1, :-1], out=term[1:])
+        np.divide(row, root[k], out=tau[k])
     tau = 0.5 * (tau + tau.conj().T)
-    deficit = max(1.0 - float(np.real(np.trace(tau))), 0.0)
-    return tau, deficit
+    return tau, max(1.0 - float(np.real(np.trace(tau))), 0.0)
 
 
 def synthesize_single_mode_gaussian(params: SingleModeGaussianParams,

@@ -1,14 +1,17 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nongauss
+from nongauss import cli
 from nongauss.cli import main, parse_channel, parse_state
 from nongauss.distillation import b_protocol_run, browne_state
 from nongauss.errors import ArgumentError, TruncationError
@@ -171,6 +174,100 @@ def test_a_flag_of_the_other_protocol_is_a_usage_error(capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
+# each common option a sub-command does not read, given after that sub-command
+_UNREAD = {
+    "--cutoff": [["protocol", "taka"], ["figure", "3"]],
+    "--log-base": [["figure", "3"], ["state", "inspect", "--state", "fock:1"],
+                   ["channel", "apply", "--channel", "loss:0.5", "--state", "fock:1"],
+                   ["protocol", "browne", "--steps", "1"]],
+    "--seed": [["state", "inspect", "--state", "fock:1"],
+               ["measure", "deltaB", "--state", "fock:1"],
+               ["channel", "apply", "--channel", "loss:0.5", "--state", "fock:1"],
+               ["protocol", "browne", "--steps", "1"], ["protocol", "taka"],
+               ["bound", "B", "--state", "fock:1"],
+               ["sweep", "--family", "fock", "--param", "n=1"]],
+    "--threads": [["state", "inspect", "--state", "fock:1"],
+                  ["measure", "deltaB", "--state", "fock:1"],
+                  ["channel", "apply", "--channel", "loss:0.5", "--state", "fock:1"],
+                  ["protocol", "browne", "--steps", "1"], ["protocol", "taka"],
+                  ["bound", "B", "--state", "fock:1"]],
+}
+_VALUES = {"--cutoff": "6", "--log-base": "2", "--seed": "1", "--threads": "2"}
+_UNREAD_CASES = [(flag, argv) for flag, cases in _UNREAD.items() for argv in cases]
+
+
+@pytest.mark.parametrize("flag, argv", _UNREAD_CASES, ids=[
+    f"{flag[2:]}-{argv[1] if argv[0] == 'protocol' else argv[0]}" for flag, argv in _UNREAD_CASES])
+def test_an_option_the_sub_command_does_not_read_is_a_usage_error(capsys, flag, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, _VALUES[flag]])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err and "Traceback" not in captured.err
+
+
+def test_a_protocol_takes_no_common_option_before_its_name(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["protocol", "--cutoff", "6", "browne", "--steps", "1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--cutoff", "6", "protocol", "taka"],
+    ["--cutoff", "6", "figure", "4"],
+    ["--log-base", "2", "state", "inspect", "--state", "fock:1"],
+    ["--seed", "1", "--threads", "2", "measure", "deltaA", "--state", "fock:1"],
+], ids=["cutoff-taka", "cutoff-figure", "log-base-state", "seed-threads-measure"])
+def test_the_root_position_takes_every_common_option(tmp_path, capsys, argv):
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "out.txt"))
+    assert code == 0 and (tmp_path / "out.txt").stat().st_size > 0
+
+
+def test_a_second_main_call_sees_none_of_the_first_calls_options(tmp_path, capsys):
+    path = tmp_path / "first.json"
+    code, out, _ = run(capsys, "measure", "deltaB", "--state", "fock:1", "--log-base", "2",
+                       "--out", str(path))
+    assert code == 0 and out.strip() == "2.000000"
+    first = path.read_text()
+    code, out, _ = run(capsys, "measure", "deltaB", "--state", "fock:1")
+    assert code == 0 and out.strip() == "1.386294"   # nats: no --log-base 2 carried over
+    assert path.read_text() == first                  # and no --out either
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_threads_calling_main_each_see_their_own_log_base(tmp_path):
+    """4 threads, more than the cores, call main at once with different --log-base
+    values; a Namespace shared through the one parser would mix their answers."""
+    want = {"nat": math.log(4), "2": 2.0}   # delta_B of |1>: h(3/2) = 2 ln 2
+    bases = ["nat", "2", "nat", "2"]
+    results, errors = {}, []
+
+    def worker(i: int, base: str) -> None:
+        try:
+            for k in range(5):
+                path = tmp_path / f"t{i}-{k}.json"
+                code = main(["measure", "deltaB", "--state", "fock:1",
+                             "--log-base", base, "--out", str(path)])
+                results[i, k] = (code, json.loads(path.read_text())["value"])
+        except Exception as exc:   # reported below, with the thread it came from
+            errors.append((i, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i, b)) for i, b in enumerate(bases)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert len(results) == 20
+    for (i, _), (code, value) in results.items():
+        assert code == 0 and abs(value - want[bases[i]]) <= 1e-12, (i, bases[i], value)
+
+
 def test_figure_csv_and_determinism(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
@@ -308,6 +405,7 @@ def test_a_coarser_spacing_admits_an_automatic_grid_past_the_side_limit(capsys):
     ["measure", "deltaC", "--state", "fock:1", "--grid-spacing", "0"],
     ["measure", "deltaC", "--state", "fock:1", "--cutoff", "20", "--grid-half-width", "0"],
     ["protocol", "browne", "--steps", "1", "--leak-budget", "x"],
+    ["protocol", "browne", "--steps", "1", "--leak-budget", "-1"],
     ["channel", "apply", "--channel", "loss:0.5,0.9", "--state", "fock:1"],
     ["channel", "apply", "--channel", "phasediff:0.2,0.1", "--state", "fock:1"],
     ["channel", "apply", "--channel", "kerr:0.1,1", "--state", "fock:1"],
@@ -328,6 +426,7 @@ def test_a_coarser_spacing_admits_an_automatic_grid_past_the_side_limit(capsys):
 ], ids=["coherent-nan", "squeezed-inf", "json-syntax", "json-no-cutoff",
         "hist-row", "channel-nan", "sweep-param", "sweep-repeated-param",
         "sweep-zero-count", "grid-spacing-0", "grid-half-width-0", "leak-budget",
+        "leak-budget-negative",
         "loss-surplus", "phasediff-surplus", "kerr-surplus", "displace-surplus", "squeeze-surplus",
         "displace-true-surplus", "squeeze-true-surplus", "fock-surplus", "thermal-surplus",
         "coherent-surplus", "squeezed-surplus", "vacuum-surplus", "bound-B-no-state",

@@ -204,6 +204,22 @@ def test_b_protocol_window_widens():
     assert counts[0] <= counts[1] <= counts[2] and counts[2] > counts[0]
 
 
+@pytest.mark.parametrize("budget", [-1.0, -1e-300, math.nan, math.inf],
+                         ids=["minus-one", "tiny-negative", "nan", "inf"])
+def test_leak_budget_is_none_or_a_finite_real_at_least_zero(budget):
+    # refused when iteration starts, before any step runs
+    with pytest.raises(ArgumentError, match="leak_budget"):
+        next(b_protocol_iterates(browne_state("a", 0.5), 1, leak_budget=budget))
+    for accepted in (None, 0.0, 1e-4):
+        assert next(b_protocol_iterates(browne_state("a", 0.5), 1, leak_budget=accepted))[0] == 0
+
+
+@pytest.mark.parametrize("total", [math.nan, math.inf])
+def test_max_two_mode_ng_refuses_a_non_finite_photon_number(total):
+    with pytest.raises(ArgumentError, match="finite"):
+        max_two_mode_ng(total)
+
+
 def test_renormalized_ng():
     assert abs(max_two_mode_ng(2.0) - 4 * np.log(2)) < 1e-12
     tb = pnes(PNESSpec("twin_beam", 0.25, 10))

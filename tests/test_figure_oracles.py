@@ -87,6 +87,15 @@ def _pnes_delta_b(family: str, x: float, cutoff: int = 12) -> float:
     return 2 * _h(math.sqrt((photons + 0.5) ** 2 - corr ** 2))
 
 
+def _browne_input_delta_b(lam: float) -> float:
+    """delta_B of (|00> + lam|11>)/sqrt(1 + lam^2), the B protocol's input: each
+    mode has <n> = N = lam^2/(1 + lam^2) and <a> = <a^2> = 0, and <ab> = C =
+    lam/(1 + lam^2), so both symplectic eigenvalues are sqrt((N + 1/2)^2 - C^2)
+    and, the state being pure, delta_B = 2 h of it."""
+    photons, corr = lam * lam / (1 + lam * lam), lam / (1 + lam * lam)
+    return 2 * _h(math.sqrt((photons + 0.5) ** 2 - corr ** 2))
+
+
 def test_fig1_pnes_cells_match_the_photon_number_closed_form():
     _, header, rows = figures.fig1_pnes_vs_partial_traces()
     built = [dict(zip(header, row)) for row in rows]
@@ -128,6 +137,17 @@ def test_fig7_lossy_fock_cells_match_the_binomial_closed_form():
             want_a, want_b = _lossy_fock_measures(int(row["p"]), math.exp(-row["t"]))
             assert abs(row["delta_A"] - want_a) <= 1e-10, row
             assert abs(row["delta_B"] - want_b) <= 1e-10, row
+
+
+def test_fig9_input_cells_match_the_two_mode_closed_form():
+    # s = 0 is the input itself, exact at any cutoff >= 2
+    _, header, rows = figures.fig9_browne_window()
+    built = [dict(zip(header, row)) for row in rows]
+    for cells in (built, _reference_rows(9)):
+        inputs = [row for row in cells if row["steps"] == 0]
+        assert len(inputs) == 20
+        for row in inputs:
+            assert abs(row["delta_B"] - _browne_input_delta_b(row["lambda"])) <= 1e-10, row
 
 
 def test_a_worker_pool_keeps_the_rows_and_their_order():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,7 +11,8 @@ from nongauss import (ArgumentError, DensityMatrix, GaussianData,
                       random_density_matrix, reference_gaussian_state,
                       symplectic_eigenvalues, von_neumann_entropy)
 from nongauss.channels import displace, squeeze
-from nongauss.gaussian import (_moment_operators, displacement_matrix, gaussian_fock_block,
+from nongauss.gaussian import (_cm_from_params, _moment_operators, displacement_matrix,
+                               gaussian_fock_block,
                                marginal, squeeze_matrix, synthesize_single_mode_gaussian,
                                SingleModeGaussianParams)
 from nongauss.states import (_squeezed_vacuum_amplitudes, cat, coherent, fock,
@@ -83,6 +86,9 @@ def test_h_function():
     assert abs(h(1.5) / np.log(2) - 2.0) < 1e-14
     with pytest.raises(NumericalValidityError):
         h(0.3)
+    for x in (np.nan, np.inf):
+        with pytest.raises(ArgumentError, match="finite"):
+            h(x)
 
 
 def brute_force_symplectic(sigma):
@@ -202,6 +208,48 @@ def test_fock_block_matches_dense_exponentials():
             block, deficit = gaussian_fock_block(p, cutoff)
             assert np.max(np.abs(block - dense[:cutoff, :cutoff])) <= 1e-12
             assert abs(np.real(np.trace(block)) + deficit - 1.0) <= 1e-12
+
+
+def _row_loop_fock_block(p: SingleModeGaussianParams, cutoff: int) -> tuple[np.ndarray, float]:
+    """gaussian_fock_block as a plain row loop, each row a fresh array and each
+    coefficient read from A and gamma where it is used: the reference for the
+    hoisted, buffered recursion."""
+    s = _cm_from_params(p)
+    diag = 0.5 * (s[0, 0] + s[1, 1]) + 0.5
+    off = 0.5 * complex(s[0, 0] - s[1, 1], 2.0 * s[0, 1])
+    det = diag * diag - abs(off) ** 2
+    m = np.array([[-off, diag], [diag, -off.conjugate()]]) / det
+    a = np.array([[0.0, 1.0], [1.0, 0.0]]) - m
+    y0 = np.array([p.alpha.conjugate(), p.alpha])
+    gamma = m @ y0
+    c = -0.5 * float(np.real(y0 @ gamma)) - 0.5 * math.log(det)
+    root = np.sqrt(np.arange(cutoff))
+    tau = np.zeros((cutoff, cutoff), dtype=complex)
+    tau[0, 0] = math.exp(c)
+    for n in range(1, cutoff):
+        prev2 = a[1, 1] * root[n - 1] * tau[0, n - 2] if n >= 2 else 0.0
+        tau[0, n] = (gamma[1] * tau[0, n - 1] + prev2) / root[n]
+    for k in range(1, cutoff):
+        row = gamma[0] * tau[k - 1]
+        if k >= 2:
+            row += a[0, 0] * root[k - 1] * tau[k - 2]
+        row[1:] += a[0, 1] * root[1:] * tau[k - 1, :-1]
+        tau[k] = row / root[k]
+    tau = 0.5 * (tau + tau.conj().T)
+    return tau, max(1.0 - float(np.real(np.trace(tau))), 0.0)
+
+
+@pytest.mark.parametrize("cutoffs", [range(2, 61), [180]], ids=["2-60", "180"])
+def test_fock_block_matches_the_row_loop_bit_for_bit(cutoffs):
+    rng = np.random.default_rng(164113)
+    for cutoff in cutoffs:
+        for _ in range(3):
+            p = SingleModeGaussianParams(complex(*rng.uniform(-1.5, 1.5, 2)),
+                                         rng.uniform(0.0, 1.3), rng.uniform(0, 2 * np.pi),
+                                         rng.uniform(0.0, 2.0))
+            block, deficit = gaussian_fock_block(p, cutoff)
+            want, want_deficit = _row_loop_fock_block(p, cutoff)
+            assert np.array_equal(block, want) and deficit == want_deficit, (p, cutoff)
 
 
 def test_fock_block_of_strong_squeezing_at_a_small_cutoff():
